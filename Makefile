@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet lint-asm lint-asm-sarif bench bench-json bench-smoke bench-gate examples figures data serve-smoke load-smoke cluster-smoke cluster-bench clean
+.PHONY: all build test test-race vet lint-asm lint-asm-sarif bench bench-json bench-smoke bench-gate examples figures data data-check serve-smoke load-smoke cluster-smoke cluster-bench clean
 
 all: test
 
@@ -103,6 +103,11 @@ figures:
 data:
 	mkdir -p docs/data
 	$(GO) run ./cmd/rrsim -experiment all -scale full -format summary -o docs/data
+
+# Check full-scale byte identity: every CSV under docs/data must be
+# reproduced exactly by a fresh full-scale run (seed 1).
+data-check:
+	./scripts/data_check.sh
 
 clean:
 	rm -f test_output.txt bench_output.txt

@@ -95,9 +95,13 @@ func runJob(t *testing.T, cfg serve.Config) []byte {
 	}
 	s.Start()
 	defer s.Shutdown(context.Background())
+	// 32 cells: workers listen on random ports, so ring ownership is
+	// random per run, and the worker-death and hedging tests need their
+	// faulty worker to own a batch. With 8 cells, one of three workers
+	// owned none in about one run in ten.
 	j, _, err := s.Submit(serve.Request{
 		Experiment: "figure5", Seed: 1, Scale: "quick",
-		F: []int{32, 64}, R: []int{8, 32}, L: []int{16},
+		F: []int{32, 64}, R: []int{8, 16, 32, 64}, L: []int{16, 64},
 	})
 	if err != nil {
 		t.Fatal(err)

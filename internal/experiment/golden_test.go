@@ -2,45 +2,74 @@ package experiment_test
 
 import (
 	"bytes"
+	"flag"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"regreloc/internal/experiment"
 	"regreloc/internal/pointstore"
 )
 
-// TestFigure5QuickGolden pins the figure5 quick-scale report to the
-// exact bytes it produced before the allocation-free rework of the
-// simulation hot paths (sim queue, scheduler, node state pooling,
-// allocator fast paths). Byte identity for a given seed is a hard
-// contract: the serve daemon's content-addressed result cache and the
+var updateGolden = flag.Bool("update", false, "rewrite the quick-scale golden reports under testdata/ instead of comparing against them")
+
+// goldenPath names the pinned quick-scale seed-1 CSV report of an
+// experiment.
+func goldenPath(id string) string {
+	return filepath.Join("testdata", id+"_quick_seed1.golden.csv")
+}
+
+// TestQuickGolden pins quick-scale seed-1 reports to exact bytes, one
+// experiment per simulator path: byte identity for a given seed is a
+// hard contract. The serve daemon's content-addressed caches and the
 // parallel-vs-sequential sweep guarantee both depend on it, so any
 // optimization that changes these bytes — however slightly — is a
-// correctness bug, not a tuning choice.
+// correctness bug, not a tuning choice. Each row covers a path the
+// others miss:
+//
+//   - figure5: constant latency, never-unload (the node simulator's
+//     base path; pinned since the allocation-free rework).
+//   - figure6: exponential latency and the two-phase unload policy.
+//   - combined: a latency mixture.
+//   - scaling: the network co-simulation's fixed point (the event
+//     queue of network.Simulate).
 //
 // To regenerate after an INTENTIONAL behaviour change (new columns, a
-// model fix), write experiment.CSV of figure5's Run(1, Quick) report
-// over the golden file and say why in the commit message.
-func TestFigure5QuickGolden(t *testing.T) {
+// model fix), run
+//
+//	go test ./internal/experiment -run TestQuickGolden -update
+//
+// and say why in the commit message.
+func TestQuickGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("quick sweep is a few seconds; skipped in -short")
+		t.Skip("quick sweeps are a few seconds; skipped in -short")
 	}
-	want, err := os.ReadFile("testdata/figure5_quick_seed1.golden.csv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, ok := experiment.Get("figure5")
-	if !ok {
-		t.Fatal("figure5 experiment not registered")
-	}
-	r := e.Run(1, experiment.Quick)
-	if r.Err != nil {
-		t.Fatal(r.Err)
-	}
-	got := []byte(experiment.CSV(r))
-	if !bytes.Equal(got, want) {
-		t.Fatalf("figure5 quick seed=1 report is not byte-identical to the golden file (got %d bytes, want %d); simulation results drifted",
-			len(got), len(want))
+	for _, id := range []string{"figure5", "figure6", "combined", "scaling"} {
+		t.Run(id, func(t *testing.T) {
+			e, ok := experiment.Get(id)
+			if !ok {
+				t.Fatalf("%s experiment not registered", id)
+			}
+			r := e.Run(1, experiment.Quick)
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+			got := []byte(experiment.CSV(r))
+			if *updateGolden {
+				if err := os.WriteFile(goldenPath(id), got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(goldenPath(id))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s quick seed=1 report is not byte-identical to the golden file (got %d bytes, want %d); simulation results drifted",
+					id, len(got), len(want))
+			}
+		})
 	}
 }
 
@@ -54,7 +83,7 @@ func TestFigure5GoldenFromPointCache(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick sweeps are a few seconds; skipped in -short")
 	}
-	want, err := os.ReadFile("testdata/figure5_quick_seed1.golden.csv")
+	want, err := os.ReadFile(goldenPath("figure5"))
 	if err != nil {
 		t.Fatal(err)
 	}

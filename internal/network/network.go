@@ -18,6 +18,7 @@ package network
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"regreloc/internal/analytic"
 	"regreloc/internal/rng"
@@ -82,6 +83,37 @@ type request struct {
 	module int
 }
 
+// netEvent is one pending interconnect event. One value-typed struct
+// for both event kinds keeps the calendar's entries unboxed (no
+// per-event allocation).
+type netEvent struct {
+	isIssue bool
+	proc    int     // issue events
+	req     request // arrival events
+}
+
+// netState is one simulation's working set: the event calendar and
+// the per-module arrays. It is recycled across Simulate calls through
+// statePool, so the rounds of a fixed point — and a sweep worker's
+// successive points — reuse one calendar instead of allocating each.
+type netState struct {
+	q      sim.Calendar[netEvent]
+	freeAt []int64 // per module: the time the module frees up
+	busy   []int64 // per module: cycles spent in service
+}
+
+var statePool = sync.Pool{New: func() any { return new(netState) }}
+
+// zeroed returns buf resized to n zeros, reusing its capacity.
+func zeroed(buf []int64, n int) []int64 {
+	if cap(buf) < n {
+		return make([]int64, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
 // Result summarizes a network simulation.
 type Result struct {
 	MeanLatency float64
@@ -102,22 +134,17 @@ func Simulate(cfg Config, ratePerProc float64, horizon int64, seed uint64) Resul
 		panic("network: invalid rate or horizon")
 	}
 	src := rng.New(seed)
-	// One value-typed event struct for both event kinds keeps the
-	// queue's entries unboxed (no per-event allocation).
-	type netEvent struct {
-		isIssue bool
-		proc    int     // issue events
-		req     request // arrival events
-	}
-	var q sim.Queue[netEvent]
+	st := statePool.Get().(*netState)
+	q := &st.q
+	freeAt := zeroed(st.freeAt, cfg.Modules)
+	busy := zeroed(st.busy, cfg.Modules)
 
-	// Per-module FIFO state: the time the module frees up.
-	freeAt := make([]int64, cfg.Modules)
-	busy := make([]int64, cfg.Modules)
-
+	// Per-call constants, computed once rather than per event.
+	avgHops := cfg.AvgHops()
+	meanGap := 1 / ratePerProc // only used when ratePerProc > 0
 	transit := func() int64 {
 		// Randomize hops around the average (+/- 1 hop).
-		h := cfg.AvgHops() + float64(src.Intn(3)-1)*0.5
+		h := avgHops + float64(src.Intn(3)-1)*0.5
 		if h < 1 {
 			h = 1
 		}
@@ -127,7 +154,7 @@ func Simulate(cfg Config, ratePerProc float64, horizon int64, seed uint64) Resul
 	// Schedule each processor's first issue.
 	for p := 0; p < cfg.Processors; p++ {
 		if ratePerProc > 0 {
-			q.Schedule(int64(src.Exponential(1/ratePerProc)), netEvent{isIssue: true, proc: p})
+			q.Schedule(int64(src.Exponential(meanGap)), netEvent{isIssue: true, proc: p})
 		}
 	}
 
@@ -144,7 +171,7 @@ func Simulate(cfg Config, ratePerProc float64, horizon int64, seed uint64) Resul
 			req := request{issued: q.Now(), module: src.Intn(cfg.Modules)}
 			q.After(transit(), netEvent{req: req})
 			// ...and schedule this processor's next issue (open loop).
-			q.After(int64(src.Exponential(1/ratePerProc))+1, netEvent{isIssue: true, proc: ev.proc})
+			q.After(int64(src.Exponential(meanGap))+1, netEvent{isIssue: true, proc: ev.proc})
 		default:
 			m := ev.req.module
 			start := q.Now()
@@ -174,6 +201,10 @@ func Simulate(cfg Config, ratePerProc float64, horizon int64, seed uint64) Resul
 		busySum += b
 	}
 	res.Utilization = float64(busySum) / float64(int64(cfg.Modules)*horizon)
+
+	q.Reset()
+	st.freeAt, st.busy = freeAt, busy
+	statePool.Put(st)
 	return res
 }
 

@@ -3,6 +3,8 @@ package network
 import (
 	"math"
 	"testing"
+
+	"regreloc/internal/testutil"
 )
 
 func TestUnloadedLatency(t *testing.T) {
@@ -135,5 +137,23 @@ func TestEfficiencyFallsWithMachineSize(t *testing.T) {
 			t.Errorf("P=%d: efficiency %.3f rose above %.3f", p, res.Efficiency, prev)
 		}
 		prev = res.Efficiency
+	}
+}
+
+// TestSimulateSteadyStateAllocs guards the recycled working set: once
+// the state pool holds a calendar grown to the dense P=512 regime, a
+// Simulate call reuses it and allocates nothing, however many events it
+// processes.
+func TestSimulateSteadyStateAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("AllocsPerRun is not meaningful under -race")
+	}
+	cfg := Config{Processors: 512, HopLatency: 8, ServiceTime: 12}
+	Simulate(cfg, 0.05, 2_000, 1) // warm the state pool
+	allocs := testing.AllocsPerRun(20, func() {
+		Simulate(cfg, 0.05, 2_000, 1)
+	})
+	if allocs != 0 {
+		t.Errorf("Simulate allocated %.0f times in steady state; want 0 (calendar storage not reused?)", allocs)
 	}
 }

@@ -164,7 +164,7 @@ func Run(cfg Config, spec workload.Spec, seed uint64) Result {
 	s.alloc = cfg.NewAlloc()
 	s.totalWork = workload.TotalWork(threads)
 	s.window = stats.NewWindow(cfg.WindowHead, cfg.WindowTail)
-	s.runLen = spec.RunLen
+	s.runLen = rng.NewSampler(spec.RunLen)
 	s.latency = spec.Latency
 	s.src = src.Split()
 	s.acct = stats.CycleAccount{}
@@ -212,7 +212,7 @@ func (s *state) release() {
 	s.events.Reset()
 	s.alloc = nil
 	s.window = nil
-	s.runLen, s.latency = nil, nil
+	s.runLen, s.latency = rng.Sampler{}, nil
 	s.src = nil
 	s.cfg = Config{}
 	s.res = Result{}
@@ -233,7 +233,7 @@ type state struct {
 	// Thread structs are recycled across runs via the state pool.
 	threadBuf []*thread.Thread
 
-	runLen  rng.Dist
+	runLen  rng.Sampler // the run-length Dist with its constants hoisted
 	latency rng.Dist
 	src     *rng.Source
 
@@ -279,10 +279,12 @@ func (s *state) chargeFor(a stats.Activity, n int64, threadID int) {
 // processDueEvents handles fault completions due at or before now.
 func (s *state) processDueEvents() {
 	for {
-		t, ok := s.events.PopDue()
-		if !ok {
+		// PeekTime and Now inline but PopDue does not, so checking
+		// first skips a call on the common path, where nothing is due.
+		if at, ok := s.events.PeekTime(); !ok || at > s.events.Now() {
 			return
 		}
+		t, _ := s.events.PopDue()
 		switch t.State {
 		case thread.BlockedResident:
 			t.State = thread.ReadyResident

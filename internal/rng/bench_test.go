@@ -24,6 +24,29 @@ func BenchmarkGeometric(b *testing.B) {
 	}
 }
 
+func BenchmarkGeometricSampler(b *testing.B) {
+	r := New(1)
+	s := NewSampler(Geometric{MeanValue: 32})
+	sink := 0
+	for i := 0; i < b.N; i++ {
+		sink += s.Sample(r)
+	}
+	if sink < 0 {
+		b.Fatal("impossible")
+	}
+}
+
+func BenchmarkIntn(b *testing.B) {
+	r := New(1)
+	sink := 0
+	for i := 0; i < b.N; i++ {
+		sink += r.Intn(3)
+	}
+	if sink < 0 {
+		b.Fatal("impossible")
+	}
+}
+
 func BenchmarkExponential(b *testing.B) {
 	r := New(1)
 	sink := 0.0

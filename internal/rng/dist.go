@@ -1,6 +1,9 @@
 package rng
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Dist is a distribution of non-negative integer cycle counts or
 // register counts, sampled with an explicit Source. The experiment
@@ -38,6 +41,37 @@ func (g Geometric) Sample(src *Source) int { return src.Geometric(g.MeanValue) }
 func (g Geometric) Mean() float64 { return g.MeanValue }
 
 func (g Geometric) String() string { return fmt.Sprintf("geometric(%g)", g.MeanValue) }
+
+// Sampler draws from a Dist with its per-distribution constants
+// computed once: for a Geometric, the ln(1-1/R) that Source.Geometric
+// otherwise recomputes on every draw. It returns exactly the values of
+// its Dist's Sample, from the same random draws, so a hot loop (the
+// node simulator samples a run length per context switch) can use one
+// without changing a single result. Build one with NewSampler.
+type Sampler struct {
+	dist Dist
+	// geo is set for a Geometric with mean above 1, which Sample then
+	// draws directly with geoLogQ = ln(1-1/geoMean).
+	geo              bool
+	geoMean, geoLogQ float64
+}
+
+// NewSampler returns a Sampler for d.
+func NewSampler(d Dist) Sampler {
+	s := Sampler{dist: d}
+	if g, ok := d.(Geometric); ok && g.MeanValue > 1 {
+		s.geo, s.geoMean, s.geoLogQ = true, g.MeanValue, math.Log(1-1/g.MeanValue)
+	}
+	return s
+}
+
+// Sample draws one value using src, as the Dist's Sample would.
+func (s *Sampler) Sample(src *Source) int {
+	if s.geo {
+		return src.geometric(s.geoMean, s.geoLogQ)
+	}
+	return s.dist.Sample(src)
+}
 
 // Exponential is an exponential distribution with the given mean,
 // rounded up to at least 1 cycle. It models producer-consumer

@@ -95,15 +95,19 @@ func (r *Source) Intn(n int) int {
 		panic("rng: Intn called with n <= 0")
 	}
 	// Lemire's nearly-divisionless bounded sampling with rejection to
-	// remove modulo bias.
+	// remove modulo bias. The rejection threshold (2^64 mod bound) is
+	// below bound, so a draw whose low word is at least bound is
+	// accepted without computing it: the division runs only on the
+	// rare draws that might be rejected.
 	bound := uint64(n)
-	threshold := (-bound) % bound
-	for {
-		hi, lo := bits.Mul64(r.Uint64(), bound)
-		if lo >= threshold {
-			return int(hi)
+	hi, lo := bits.Mul64(r.Uint64(), bound)
+	if lo < bound {
+		threshold := (-bound) % bound
+		for lo < threshold {
+			hi, lo = bits.Mul64(r.Uint64(), bound)
 		}
 	}
+	return int(hi)
 }
 
 // IntRange returns a uniformly distributed int in [lo, hi] inclusive.
@@ -136,10 +140,15 @@ func (r *Source) Geometric(mean float64) int {
 	if mean == 1 {
 		return 1
 	}
-	p := 1 / mean
-	// Inverse transform: ceil(ln(U) / ln(1-p)) for U in (0,1).
+	return r.geometric(mean, math.Log(1-1/mean))
+}
+
+// geometric is Geometric's inverse transform, ceil(ln(U) / ln(1-p))
+// for U in (0,1] and p = 1/mean, with ln(1-p) passed in as logQ so a
+// Sampler can compute it once per distribution instead of per draw.
+func (r *Source) geometric(mean, logQ float64) int {
 	u := 1 - r.Float64() // in (0, 1]
-	k := math.Ceil(math.Log(u) / math.Log(1-p))
+	k := math.Ceil(math.Log(u) / logQ)
 	if k < 1 {
 		k = 1
 	}

@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -84,6 +85,42 @@ func TestIntnCoversAllValues(t *testing.T) {
 	for v := 0; v < 8; v++ {
 		if !seen[v] {
 			t.Fatalf("Intn(8) never produced %d in 1000 draws", v)
+		}
+	}
+}
+
+// intnDividing is Intn as it was before the division moved behind the
+// lo < bound check: it computes the rejection threshold before every
+// draw. Kept as the reference the current Intn must match.
+func intnDividing(r *Source, n int) int {
+	bound := uint64(n)
+	threshold := (-bound) % bound
+	for {
+		hi, lo := bits.Mul64(r.Uint64(), bound)
+		if lo >= threshold {
+			return int(hi)
+		}
+	}
+}
+
+// TestIntnMatchesDividingReference pins that skipping the division
+// changed nothing: every value, and every rejection (hence the stream
+// position after each call), matches the always-dividing reference.
+// The largest bounds reject almost half their draws, so the rejection
+// loop is exercised too.
+func TestIntnMatchesDividingReference(t *testing.T) {
+	bounds := []int{1, 2, 3, 7, 10, 1000, 1<<31 - 1, 1<<62 + 12345, 1<<63 - 1}
+	for seed := uint64(0); seed < 5; seed++ {
+		for _, n := range bounds {
+			got, want := New(seed), New(seed)
+			for i := 0; i < 2000; i++ {
+				if g, w := got.Intn(n), intnDividing(want, n); g != w {
+					t.Fatalf("seed %d Intn(%d) draw %d = %d, reference %d", seed, n, i, g, w)
+				}
+			}
+			if got.Uint64() != want.Uint64() {
+				t.Fatalf("seed %d Intn(%d): stream positions diverged", seed, n)
+			}
 		}
 	}
 }
@@ -186,6 +223,37 @@ func TestDistInterface(t *testing.T) {
 		got := sum / n
 		if math.Abs(got-c.mean)/c.mean > 0.05 {
 			t.Errorf("%s: sampled mean %g want %g", c.d, got, c.mean)
+		}
+	}
+}
+
+// TestSamplerMatchesDist pins the hoisted constants: a Sampler returns
+// its Dist's values from the same draws, leaving the stream where the
+// Dist would.
+func TestSamplerMatchesDist(t *testing.T) {
+	dists := []Dist{
+		Geometric{MeanValue: 1},
+		Geometric{MeanValue: 1.5},
+		Geometric{MeanValue: 3.7},
+		Geometric{MeanValue: 32},
+		Geometric{MeanValue: 1e9},
+		Constant{Value: 7},
+		Exponential{MeanValue: 256},
+		UniformInt{Lo: 6, Hi: 24},
+		NewWeighted([]int{8, 32}, []float64{3, 1}),
+	}
+	for _, d := range dists {
+		for seed := uint64(1); seed <= 3; seed++ {
+			s := NewSampler(d)
+			got, want := New(seed), New(seed)
+			for i := 0; i < 5000; i++ {
+				if g, w := s.Sample(got), d.Sample(want); g != w {
+					t.Fatalf("%s seed %d draw %d: sampler %d, dist %d", d, seed, i, g, w)
+				}
+			}
+			if got.Uint64() != want.Uint64() {
+				t.Fatalf("%s seed %d: stream positions diverged", d, seed)
+			}
 		}
 	}
 }

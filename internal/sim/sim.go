@@ -13,16 +13,17 @@
 // schedules one event per simulated fault — millions per sweep — which
 // made the previous *Event + Payload any design the top allocation
 // site of the whole repository.
+//
+// Calendar is the same contract for dense traffic — over a thousand
+// pending events, nearly all due within a few hundred cycles — as in
+// the network co-simulation: a ring of per-cycle buckets replaces the
+// heap's O(log n) sifts with O(1) bucket operations.
 package sim
 
 import "fmt"
 
 // Cycles is a simulation timestamp in processor cycles.
 type Cycles = int64
-
-// Handle identifies a scheduled event for Cancel. The zero Handle is
-// never issued.
-type Handle uint64
 
 // entry is one pending event, stored by value in the heap slice.
 type entry[T any] struct {
@@ -82,35 +83,19 @@ func (q *Queue[T]) AdvanceTo(t Cycles) {
 	q.now = t
 }
 
-// Schedule enqueues payload to occur at absolute time at (>= Now) and
-// returns a handle that can be passed to Cancel.
-func (q *Queue[T]) Schedule(at Cycles, payload T) Handle {
+// Schedule enqueues payload to occur at absolute time at (>= Now).
+func (q *Queue[T]) Schedule(at Cycles, payload T) {
 	if at < q.now {
 		panic(fmt.Sprintf("sim: scheduling at %d in the past (now %d)", at, q.now))
 	}
 	q.nextSeq++
 	q.events = append(q.events, entry[T]{at: at, seq: q.nextSeq, payload: payload})
 	q.up(len(q.events) - 1)
-	return Handle(q.nextSeq)
 }
 
 // After enqueues payload d cycles from now.
-func (q *Queue[T]) After(d Cycles, payload T) Handle {
-	return q.Schedule(q.now+d, payload)
-}
-
-// Cancel removes a scheduled event by handle, reporting whether it was
-// still pending. Cancelling an already-popped or already-cancelled
-// event returns false. Cancel is O(n); the hot paths never cancel (a
-// blocked thread's completion is consumed, not revoked).
-func (q *Queue[T]) Cancel(h Handle) bool {
-	for i := range q.events {
-		if q.events[i].seq == uint64(h) {
-			q.removeAt(i)
-			return true
-		}
-	}
-	return false
+func (q *Queue[T]) After(d Cycles, payload T) {
+	q.Schedule(q.now+d, payload)
 }
 
 // Len returns the number of pending events.
@@ -133,7 +118,7 @@ func (q *Queue[T]) PopDue() (payload T, ok bool) {
 		return zero, false
 	}
 	payload = q.events[0].payload
-	q.removeAt(0)
+	q.removeRoot()
 	return payload, true
 }
 
@@ -146,26 +131,20 @@ func (q *Queue[T]) PopNext() (payload T, ok bool) {
 	}
 	payload = q.events[0].payload
 	q.now = q.events[0].at
-	q.removeAt(0)
+	q.removeRoot()
 	return payload, true
 }
 
-// removeAt deletes the entry at heap index i, restoring heap order.
-// The vacated tail slot is zeroed so pointer payloads do not pin their
+// removeRoot deletes the earliest entry, restoring heap order. The
+// vacated tail slot is zeroed so pointer payloads do not pin their
 // referents; the slice's capacity is retained, which is what makes the
 // schedule/pop cycle allocation-free once the queue has warmed up.
-func (q *Queue[T]) removeAt(i int) {
+func (q *Queue[T]) removeRoot() {
 	n := len(q.events) - 1
-	if i != n {
-		q.events[i] = q.events[n]
-	}
+	q.events[0] = q.events[n]
 	q.events[n] = entry[T]{}
 	q.events = q.events[:n]
-	if i < n {
-		if !q.down(i) {
-			q.up(i)
-		}
-	}
+	q.down(0)
 }
 
 // less orders the heap by due time, then FIFO by sequence.
@@ -189,10 +168,8 @@ func (q *Queue[T]) up(i int) {
 	}
 }
 
-// down restores the heap invariant after replacing index i, reporting
-// whether the entry moved.
-func (q *Queue[T]) down(i int) bool {
-	start := i
+// down restores the heap invariant after replacing index i.
+func (q *Queue[T]) down(i int) {
 	n := len(q.events)
 	for {
 		child := 2*i + 1
@@ -208,5 +185,4 @@ func (q *Queue[T]) down(i int) bool {
 		q.events[i], q.events[child] = q.events[child], q.events[i]
 		i = child
 	}
-	return i > start
 }

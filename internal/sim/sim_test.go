@@ -133,30 +133,6 @@ func TestAfter(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	var q Queue[string]
-	a := q.Schedule(10, "a")
-	q.Schedule(20, "b")
-	if !q.Cancel(a) {
-		t.Fatal("cancel of pending event reported false")
-	}
-	if q.Len() != 1 {
-		t.Fatalf("len = %d", q.Len())
-	}
-	if got, _ := q.PopNext(); got != "b" {
-		t.Errorf("popped %q", got)
-	}
-	// Double-cancel and cancel-after-pop are no-ops.
-	if q.Cancel(a) {
-		t.Fatal("double-cancel reported true")
-	}
-	b := q.Schedule(30, "c")
-	q.PopNext()
-	if q.Cancel(b) {
-		t.Fatal("cancel-after-pop reported true")
-	}
-}
-
 func TestPeekTime(t *testing.T) {
 	var q Queue[int]
 	if _, ok := q.PeekTime(); ok {
@@ -192,38 +168,6 @@ func TestHeapOrderProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCancelMiddleOfHeapProperty(t *testing.T) {
-	f := func(times []uint16, cancelIdx uint8) bool {
-		if len(times) == 0 {
-			return true
-		}
-		var q Queue[int]
-		handles := make([]Handle, len(times))
-		for i, at := range times {
-			handles[i] = q.Schedule(int64(at), i)
-		}
-		victim := int(cancelIdx) % len(handles)
-		if !q.Cancel(handles[victim]) {
-			return false
-		}
-		seen := 0
-		last := int64(-1)
-		for q.Len() > 0 {
-			at, _ := q.PeekTime()
-			p, ok := q.PopNext()
-			if !ok || p == victim || at < last {
-				return false
-			}
-			last = at
-			seen++
-		}
-		return seen == len(times)-1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }

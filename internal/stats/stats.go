@@ -314,11 +314,14 @@ func (c *CycleAccount) Breakdown() string {
 
 // Window extracts steady-state measurements by discarding a leading and
 // trailing fraction of the run, as the paper does to avoid startup and
-// completion transients. Drive it with the total-cycle clock: call
-// MaybeSnapshot as the run progresses, then Measure at the end.
+// completion transients. Drive it with a progress measure whose final
+// value is known in advance — the node simulator uses useful cycles
+// against the population's total work, which (unlike total cycles) is
+// fixed before the run starts: call MaybeSnapshot as the run
+// progresses, then Measure at the end.
 type Window struct {
-	// SkipHead and SkipTail are the fractions of total cycles excluded
-	// at the start and end (paper excludes both transients).
+	// SkipHead and SkipTail are the fractions of progress excluded at
+	// the start and end (paper excludes both transients).
 	SkipHead, SkipTail float64
 
 	start     *CycleAccount
@@ -338,8 +341,10 @@ func NewWindow(skipHead, skipTail float64) *Window {
 
 // MaybeSnapshot records the start-of-window snapshot once the run has
 // passed the head-skip point, and the end-of-window snapshot once it
-// reaches the tail-skip point. now is the current total cycle count and
-// expectedTotal the estimated final total.
+// reaches the tail-skip point. now is the progress so far and
+// expectedTotal its final value: the node simulator passes the useful
+// cycles executed so far against the total work of its thread
+// population.
 func (w *Window) MaybeSnapshot(acct *CycleAccount, now, expectedTotal int64) {
 	if !w.headTaken && float64(now) >= w.SkipHead*float64(expectedTotal) {
 		w.start = acct.Clone()
