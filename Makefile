@@ -16,15 +16,17 @@ test: vet
 	$(GO) test ./...
 
 # Race-detect the concurrent experiment harness, the event queue it
-# drives, the serving layer (queue + worker pool + cache), the point
-# store's cross-job single-flight coalescing, and the cluster fan-out
-# client (hedges, retries, prober).
+# drives, the serving layer (queue + worker pool), the result store
+# (internal/pointstore: stored reports, cross-job single-flight point
+# coalescing), and the cluster fan-out client (hedges, retries,
+# prober).
 test-race:
 	$(GO) test -race ./internal/experiment/... ./internal/sim/... ./internal/serve/... ./internal/pointstore/... ./internal/cluster/... ./cmd/rrserved/...
 
 # End-to-end smoke test of the rrserved daemon: boot, submit a sweep
 # over HTTP, poll to completion, check cache + metrics counters, drain
-# via SIGTERM.
+# via SIGTERM, then restart on the same store dir and check the
+# resubmission is answered from the persisted report.
 serve-smoke:
 	./scripts/serve_smoke.sh
 

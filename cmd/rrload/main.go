@@ -159,8 +159,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // workload generates the request mix: a small pool of canonical grids
-// that `overlap` of submissions repeat (hitting the report cache, the
-// point store, and single-flight coalescing), and unique grids for the
+// that `overlap` of submissions repeat (hitting stored reports, stored
+// points, and single-flight coalescing), and unique grids for the
 // rest (forcing cold simulation). Pool grids share F/R axes so even
 // distinct pool entries overlap at the point level.
 type workload struct {

@@ -1,14 +1,14 @@
 // Command rrserved serves the paper's experiments over HTTP: a job
 // queue and worker pool run sweeps on demand, and a content-addressed
-// result cache — sound because the engine is byte-identical for a
-// given (experiment, seed, scale, grids) — answers repeated
-// submissions without re-simulating.
+// result store — sound because the engine is byte-identical for a
+// given (experiment, seed, scale, grids) — keeps finished reports and
+// their sweep points, so repeated and overlapping submissions are
+// answered without re-simulating.
 //
 // Usage:
 //
 //	rrserved -addr 127.0.0.1:8347 -queue 64 -workers 2
-//	rrserved -cache-dir /var/cache/rrserved -cache-bytes 67108864
-//	rrserved -point-cache-dir /var/cache/rrserved-points   # reuse sweep points across overlapping jobs
+//	rrserved -point-cache-dir /var/cache/rrserved -point-cache-bytes 33554432
 //
 // Cluster mode (see docs/cluster.md): -role worker additionally serves
 // the shard compute API at /v1/cluster/compute; -role coordinator
@@ -30,7 +30,7 @@
 //
 // SIGINT/SIGTERM drain gracefully: submissions are refused, queued and
 // running jobs get -drain-timeout to finish (then their contexts are
-// cancelled), and the disk cache index is persisted.
+// cancelled), and the result store's disk index is persisted.
 package main
 
 import (
@@ -88,10 +88,8 @@ func run(args []string, stderr io.Writer, stop <-chan struct{}, ready chan<- str
 		pointWorkers  = fs.Int("point-workers", 0, "engine workers per job: 0 = one per core")
 		jobTimeout    = fs.Duration("job-timeout", 10*time.Minute, "per-job execution deadline")
 		drainTimeout  = fs.Duration("drain-timeout", 30*time.Second, "graceful shutdown deadline")
-		cacheBytes    = fs.Int64("cache-bytes", 64<<20, "in-memory result cache budget in bytes")
-		cacheDir      = fs.String("cache-dir", "", "directory for the disk cache tier (empty = memory only)")
-		pointBytes    = fs.Int64("point-cache-bytes", 32<<20, "in-memory point-store budget in bytes (negative disables point memoization)")
-		pointDir      = fs.String("point-cache-dir", "", "directory for the point store's disk tier (empty = memory only)")
+		pointBytes    = fs.Int64("point-cache-bytes", 32<<20, "in-memory result-store budget in bytes, for sweep points and reports (negative disables all result reuse)")
+		pointDir      = fs.String("point-cache-dir", "", "directory for the result store's disk tier (empty = memory only)")
 		pointShards   = fs.Int("point-cache-shards", 0, "point-store shard count, rounded up to a power of two (0 = sized to GOMAXPROCS)")
 		pointSpillQ   = fs.Int("point-cache-spill-queue", 0, "max point-store entries queued for background disk spill (0 = default)")
 		jobRetention  = fs.Duration("job-retention", 15*time.Minute, "how long finished jobs stay queryable by ID")
@@ -194,8 +192,6 @@ func run(args []string, stderr io.Writer, stop <-chan struct{}, ready chan<- str
 		Workers:              *workers,
 		PointWorkers:         *pointWorkers,
 		JobTimeout:           *jobTimeout,
-		CacheBytes:           *cacheBytes,
-		CacheDir:             *cacheDir,
 		PointCacheBytes:      *pointBytes,
 		PointCacheDir:        *pointDir,
 		PointCacheShards:     *pointShards,
@@ -256,8 +252,8 @@ func run(args []string, stderr io.Writer, stop <-chan struct{}, ready chan<- str
 	hs := &http.Server{Handler: handler}
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
-	logger.Printf("listening on http://%s (role=%s queue=%d workers=%d cache=%dB dir=%q)",
-		ln.Addr(), *role, *queueCap, *workers, *cacheBytes, *cacheDir)
+	logger.Printf("listening on http://%s (role=%s queue=%d workers=%d store=%dB dir=%q)",
+		ln.Addr(), *role, *queueCap, *workers, *pointBytes, *pointDir)
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}

@@ -53,7 +53,7 @@ func TestDaemonLifecycle(t *testing.T) {
 			"-queue", "4",
 			"-workers", "1",
 			"-point-workers", "2",
-			"-cache-dir", t.TempDir(),
+			"-point-cache-dir", t.TempDir(),
 			"-drain-timeout", "10s",
 		}, io.Discard, stop, ready)
 	}()

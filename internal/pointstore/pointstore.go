@@ -1,16 +1,16 @@
-// Package pointstore is a content-addressed store for individual
-// sweep-point results. Where internal/serve's result cache memoizes
-// whole reports — so two jobs whose grids overlap by 90% still
-// re-simulate 100% of their points — this store memoizes at the
-// granularity the engine actually schedules: one entry per simulated
-// point, keyed by a SHA-256 over everything that determines the
-// point's bytes (engine version, experiment, seed, coordinates).
+// Package pointstore is a content-addressed byte store for
+// experiment results. Its main tenants are individual sweep points:
+// one entry per simulated point, keyed by a SHA-256 over everything
+// that determines the point's bytes (engine version, experiment,
+// seed, coordinates), so two jobs whose grids overlap by 90% share
+// that 90% of the work. The serving layer (internal/serve) keeps each
+// finished report here as well, under its request key; report keys
+// and point keys hash different schema tags, so they never collide.
 //
-// The store mirrors the serving cache's tiering conventions: hot
-// entries live in memory under a byte budget, evicted entries spill
-// to a disk tier whose index carries a per-entry checksum and a
+// Hot entries live in memory under a byte budget, evicted entries
+// spill to a disk tier whose index carries a per-entry checksum and a
 // format version, and a persisted index lets a restarted process
-// resume warm. On top of that it adds cross-job single-flight
+// resume warm. On top of that the store adds cross-job single-flight
 // coalescing (Do): concurrent computations of the same key share one
 // execution, so two jobs sweeping overlapping grids simulate each
 // shared point exactly once between them.
@@ -23,13 +23,13 @@
 // pins evicted bytes in memory until they are durable, and disk-tier
 // reads verify off-lock and promote with a re-check.
 //
-// Soundness has the same basis as the report cache: a point's bytes
-// are a pure function of the key's preimage (the engine derives every
-// point's RNG stream from its coordinates, never from execution
-// order), and keys embed the engine version, so entries written by an
-// older binary simply stop matching instead of being served stale.
-// Within a matching key, a disk checksum mismatch can only be
-// corruption, and the entry is dropped and recomputed.
+// Soundness rests on determinism: an entry's bytes are a pure
+// function of the key's preimage (the engine derives every point's
+// RNG stream from its coordinates, never from execution order), and
+// keys embed the engine version, so entries written by an older
+// binary simply stop matching instead of being served stale. Within a
+// matching key, a disk checksum mismatch can only be corruption, and
+// the entry is dropped and recomputed.
 package pointstore
 
 import (
@@ -48,8 +48,8 @@ import (
 	"time"
 )
 
-// Store is the content-addressed per-point byte store. All methods
-// are safe for concurrent use.
+// Store is the content-addressed result byte store. All methods are
+// safe for concurrent use.
 type Store struct {
 	shards []*shard
 	mask   uint32
@@ -109,7 +109,8 @@ func (s *Store) SetLogf(f func(format string, args ...any)) {
 type Counters struct {
 	// Hits are lookups answered from memory or verified disk.
 	Hits int64
-	// Misses are lookups (or Do calls) that had to compute.
+	// Misses are Do calls that had to compute. Lookups that find
+	// nothing (Get, GetBatch) are not counted.
 	Misses int64
 	// Joins are Do calls that attached to an in-flight computation of
 	// the same key instead of starting their own.
@@ -157,8 +158,8 @@ type storeIndex struct {
 // instead of being reinterpreted.
 const indexVersion = 1
 
-// indexName keeps the point index distinct from a report cache
-// sharing the same directory.
+// indexName is the persisted index file inside the spill directory.
+// Payloads sit beside it as <key>.bin.
 const indexName = "points.json"
 
 // lockName is the advisory lock file guarding a spill directory. The
@@ -306,13 +307,14 @@ func (s *Store) lookup(sh *shard, key string) ([]byte, bool) {
 // promoted into memory, and kept on disk. Get never blocks on disk
 // writes: entries evicted but not yet durably spilled are served from
 // the writer's pinned copy.
+//
+// Counters: a found key counts one Hit; an absent key is not counted,
+// as in GetBatch. Misses count computations, which only Do performs.
 func (s *Store) Get(key string) ([]byte, bool) {
 	sh := s.shardFor(key)
 	data, ok := s.lookup(sh, key)
 	if ok {
 		sh.hits.Add(1)
-	} else {
-		sh.misses.Add(1)
 	}
 	return data, ok
 }
@@ -792,8 +794,8 @@ func checksum(data []byte) string {
 
 // EngineVersion identifies the code that computes result bytes: the
 // module version plus the VCS revision stamped into the build, if
-// any. Both the per-point keys and the serving layer's report-cache
-// keys fold it in, so a persisted cache is invalidated by upgrading
+// any. Both the per-point keys and the serving layer's report keys
+// fold it in, so a persisted store is invalidated by upgrading
 // the binary — an old entry simply stops matching — rather than
 // served as current.
 //
@@ -804,8 +806,8 @@ func checksum(data []byte) string {
 // of the running executable. Without that, every recompiled dev
 // binary would report the same version string and happily decode a
 // previous binary's persisted disk entries even when the engine
-// semantics changed underneath them. See docs/serve.md ("Cache
-// invalidation contract").
+// semantics changed underneath them. See docs/serve.md ("The
+// invalidation contract for unstamped builds").
 func EngineVersion() string { return engineVer() }
 
 var engineVer = sync.OnceValue(func() string {

@@ -2,6 +2,7 @@ package pointstore
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -26,9 +27,10 @@ func TestGetPutRoundTrip(t *testing.T) {
 	if !ok || string(data) != "value" {
 		t.Fatalf("Get = %q, %v", data, ok)
 	}
+	// The absent lookup is not a miss: misses count computations.
 	c := s.Counters()
-	if c.Hits != 1 || c.Misses != 1 {
-		t.Errorf("counters = %+v, want 1 hit / 1 miss", c)
+	if c.Hits != 1 || c.Misses != 0 {
+		t.Errorf("counters = %+v, want 1 hit / 0 misses", c)
 	}
 	if !s.Contains("k") || s.Contains("other") {
 		t.Error("Contains disagrees with contents")
@@ -191,17 +193,70 @@ func TestCorruptDiskEntryDropped(t *testing.T) {
 	}
 }
 
+// TestBadIndexStartsCold: an index that is corrupt, or well-formed
+// but written under another format version, is discarded wholesale.
+// Serving an old version's entries as current would be staleness the
+// checksums cannot catch.
 func TestBadIndexStartsCold(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, indexName), []byte("not json"), 0o644); err != nil {
+	data := []byte("old-format result")
+	oldVersion, err := json.Marshal(storeIndex{Version: indexVersion - 1, Entries: map[string]diskEntry{
+		"k": {Size: int64(len(data)), Sum: checksum(data)},
+	}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(1<<20, dir)
-	if err != nil {
-		t.Fatalf("corrupt index should not be fatal: %v", err)
+	for name, index := range map[string][]byte{
+		"corrupt":       []byte("not json"),
+		"other version": oldVersion,
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, indexName), index, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "k.bin"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(1<<20, dir)
+		if err != nil {
+			t.Fatalf("%s index should not be fatal: %v", name, err)
+		}
+		if s.DiskLen() != 0 {
+			t.Errorf("%s index was loaded", name)
+		}
+		if _, ok := s.Get("k"); ok {
+			t.Errorf("entry from a %s index served", name)
+		}
+		s.Close()
 	}
-	if s.DiskLen() != 0 {
-		t.Fatal("corrupt index was loaded")
+}
+
+// TestClockSparesReferencedEntry pins the CLOCK insert policy: new
+// entries start unreferenced, so only a hit earns the second chance.
+// A stream of write-once entries (finished reports) must not push out
+// an entry that is being read (a hot sweep point).
+func TestClockSparesReferencedEntry(t *testing.T) {
+	s, err := NewWith(30, "", Options{Shards: 1}) // room for three entries
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := func(c byte) []byte { return bytes.Repeat([]byte{c}, 10) }
+	s.Put("a", entry('a'))
+	if _, ok := s.Get("a"); !ok {
+		t.Fatal("a missing right after Put")
+	}
+	s.Put("b", entry('b'))
+	s.Put("c", entry('c'))
+	s.Put("d", entry('d')) // over budget: one entry must go
+	if c := s.Counters(); c.Evictions != 1 {
+		t.Fatalf("evictions = %d, want 1", c.Evictions)
+	}
+	if s.Contains("b") {
+		t.Error("b (never read) survived; the eviction took another entry")
+	}
+	for _, k := range []string{"a", "c", "d"} {
+		if !s.Contains(k) {
+			t.Errorf("%s evicted; want b, the oldest unreferenced entry", k)
+		}
 	}
 }
 

@@ -140,13 +140,14 @@ func (sh *shard) putLocked(key string, data []byte) {
 // insertLocked adds an entry to the memory tier and evicts past the
 // budget. Caller holds sh.mu for writing. No disk I/O happens here:
 // evicted entries are handed to the async spill writer, which pins
-// their bytes until the write lands.
+// their bytes until the write lands. New entries start unreferenced:
+// only a hit earns the second chance, so a burst of write-once
+// entries cannot push out entries that are actually being read.
 func (sh *shard) insertLocked(key string, data []byte) {
 	if _, exists := sh.items[key]; exists {
 		return // determinism: same key means same bytes
 	}
 	e := &centry{key: key, data: data, slot: len(sh.ring)}
-	e.ref.Store(true)
 	sh.items[key] = e
 	sh.ring = append(sh.ring, e)
 	sh.size += int64(len(data))

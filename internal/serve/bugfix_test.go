@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"regreloc/internal/experiment"
 )
 
 // These tests pin the five latent bugs fixed in the serving-hardening
@@ -25,7 +27,6 @@ import (
 // assembly time and requeues past a small miss budget.
 func TestInlineAssemblyRecheckRequeuesOnEviction(t *testing.T) {
 	cfg := testConfig()
-	cfg.CacheBytes = -1 // no report cache: repeats reach the point-store path
 	cfg.PointCacheBytes = 1 << 20
 	s, err := New(cfg)
 	if err != nil {
@@ -41,10 +42,16 @@ func TestInlineAssemblyRecheckRequeuesOnEviction(t *testing.T) {
 	}
 	waitDone(t, j1)
 
-	// Control: with the store intact a repeat assembles inline (200).
-	j2, status, err := s.Submit(multiCellRequest())
+	// Control: with the store intact a reordering of the warm grid — a
+	// new report key over stored cells — assembles inline (200).
+	control := multiCellRequest()
+	control.F = []int{64, 32}
+	j2, status, err := s.Submit(control)
 	if err != nil || status != http.StatusOK {
-		t.Fatalf("covered repeat: status=%d err=%v", status, err)
+		t.Fatalf("covered reordering: status=%d err=%v", status, err)
+	}
+	if j2.Status(false).Cached {
+		t.Fatal("covered reordering answered from a stored report, not assembled")
 	}
 	waitDone(t, j2)
 
@@ -59,7 +66,9 @@ func TestInlineAssemblyRecheckRequeuesOnEviction(t *testing.T) {
 	}
 	defer func() { s.postAdmitHook = nil }()
 
-	j3, status, err := s.Submit(multiCellRequest())
+	requeued := multiCellRequest()
+	requeued.R = []int{16, 8}
+	j3, status, err := s.Submit(requeued)
 	if err != nil {
 		t.Fatalf("post-eviction submit: %v", err)
 	}
@@ -72,9 +81,24 @@ func TestInlineAssemblyRecheckRequeuesOnEviction(t *testing.T) {
 	if j3.StateNow() != StateDone {
 		t.Fatalf("requeued job state = %s", j3.StateNow())
 	}
-	if !bytes.Equal(j3.Result(), j1.Result()) {
-		t.Error("requeued recompute differs from original result")
+	if !bytes.Equal(j3.Result(), coldReport(t, requeued)) {
+		t.Error("requeued recompute differs from a cold run")
 	}
+}
+
+// coldReport runs req through the engine with no store: the bytes any
+// server must answer it with.
+func coldReport(t *testing.T, req Request) []byte {
+	t.Helper()
+	e, ok := experiment.Get(req.Experiment)
+	if !ok {
+		t.Fatalf("unknown experiment %q", req.Experiment)
+	}
+	data, err := encodeReport(e.RunGrid(req.Seed, req.scale(), req.grids()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // TestShutdownNeverStartedFinalizesQueued covers the hung-waiter bug:
@@ -115,15 +139,15 @@ func TestShutdownNeverStartedFinalizesQueued(t *testing.T) {
 	}
 }
 
-// TestShutdownPersistsPointsDespiteCacheError covers the skipped-index
-// bug: Shutdown returned on the report cache's SaveIndex error before
-// reaching points.SaveIndex, silently losing the warm point index. The
-// fix attempts both and joins the errors.
-func TestShutdownPersistsPointsDespiteCacheError(t *testing.T) {
-	cacheDir, pointDir := t.TempDir(), t.TempDir()
+// TestShutdownIndexErrorReleasesStore covers the skipped-close bug
+// class: a Shutdown that returned on the index save error would leave
+// the store open and its directory locked, so the restarted daemon
+// could not claim its own dir. The save error must surface, naming
+// the point-store index, and the lock must still be released.
+func TestShutdownIndexErrorReleasesStore(t *testing.T) {
+	dir := t.TempDir()
 	cfg := testConfig()
-	cfg.CacheDir = cacheDir
-	cfg.PointCacheDir = pointDir
+	cfg.PointCacheDir = dir
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -135,20 +159,30 @@ func TestShutdownPersistsPointsDespiteCacheError(t *testing.T) {
 	}
 	waitDone(t, j)
 
-	// Sabotage the cache index write: its temp path is a directory, so
+	// Block the index write: its temp path is a directory, so
 	// os.WriteFile fails regardless of permissions.
-	if err := os.MkdirAll(filepath.Join(cacheDir, "index.json.tmp"), 0o755); err != nil {
+	blocker := filepath.Join(dir, "points.json.tmp")
+	if err := os.MkdirAll(blocker, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	shutdownErr := s.Shutdown(context.Background())
 	if shutdownErr == nil {
-		t.Fatal("shutdown swallowed the cache index error")
+		t.Fatal("shutdown swallowed the index error")
 	}
-	if !strings.Contains(shutdownErr.Error(), "cache index") {
-		t.Errorf("shutdown error does not name the cache index: %v", shutdownErr)
+	if !strings.Contains(shutdownErr.Error(), "point-store index") {
+		t.Errorf("shutdown error does not name the point-store index: %v", shutdownErr)
 	}
-	if _, err := os.Stat(filepath.Join(pointDir, "points.json")); err != nil {
-		t.Errorf("point index not persisted when the cache index failed: %v", err)
+
+	// The failed save must not strand the directory lock.
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := New(cfg)
+	if err != nil {
+		t.Fatalf("store dir still locked after a failed save: %v", err)
+	}
+	if err := s2.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -159,7 +193,6 @@ func TestShutdownPersistsPointsDespiteCacheError(t *testing.T) {
 // Done close shows up here.
 func TestInlineAssemblyEvictionHammer(t *testing.T) {
 	cfg := testConfig()
-	cfg.CacheBytes = -1
 	cfg.PointCacheBytes = 1 << 18
 	cfg.QueueCap = 64
 	cfg.Workers = 4
@@ -169,6 +202,18 @@ func TestInlineAssemblyEvictionHammer(t *testing.T) {
 	}
 	s.Start()
 	defer s.Shutdown(context.Background())
+
+	// Warm one grid; the hammer submits its reorderings, which are new
+	// report keys over stored cells and so reach the inline path unless
+	// the storm evicted their cells first.
+	orders := [][]int{{32, 64, 128}, {32, 128, 64}, {64, 32, 128}, {64, 128, 32}, {128, 32, 64}, {128, 64, 32}}
+	warm := tinyRequest()
+	warm.F = orders[0]
+	wj, _, err := s.Submit(warm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, wj)
 
 	stop := make(chan struct{})
 	var evict sync.WaitGroup
@@ -193,8 +238,7 @@ func TestInlineAssemblyEvictionHammer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 15; i++ {
 				req := tinyRequest()
-				req.F = []int{32, 64}
-				req.Seed = uint64(1 + (g+i)%3) // few keys: repeats hit the inline path
+				req.F = orders[1+(g+i)%(len(orders)-1)]
 				j, status, err := s.Submit(req)
 				if err != nil {
 					if status == http.StatusTooManyRequests {

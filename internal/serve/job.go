@@ -1,10 +1,11 @@
 // Package serve turns the experiment harness into a long-running
 // HTTP service: clients POST sweep jobs, a bounded FIFO queue feeds a
 // worker pool running the engine with per-job cancellation, and a
-// content-addressed result cache — sound because the engine is
-// byte-identical across worker counts and execution orders — answers
-// repeated submissions without re-simulating. See docs/serve.md for
-// the API reference.
+// content-addressed result store (internal/pointstore) — sound
+// because the engine is byte-identical across worker counts and
+// execution orders — keeps finished reports and their sweep points,
+// so repeated and overlapping submissions are answered without
+// re-simulating. See docs/serve.md for the API reference.
 package serve
 
 import (

@@ -44,6 +44,9 @@ type metrics struct {
 	coalesced int64 // submissions attached to an in-flight identical job
 	rejected  int64 // submissions bounced with 429 (queue full)
 
+	cacheHits   int64 // submissions answered with a stored report
+	cacheMisses int64 // submissions whose report was not stored
+
 	byState map[State]int64 // terminal job counts
 	running int64           // gauge
 
@@ -132,6 +135,17 @@ func (m *metrics) addPoints(n int64) {
 
 func (m *metrics) jobStarted() { m.mu.Lock(); m.running++; m.mu.Unlock() }
 
+// observeReportLookup counts one admission-time report lookup.
+func (m *metrics) observeReportLookup(hit bool) {
+	m.mu.Lock()
+	if hit {
+		m.cacheHits++
+	} else {
+		m.cacheMisses++
+	}
+	m.mu.Unlock()
+}
+
 // incFidelityJob counts one accepted submission by requested tier
 // (including cache hits and coalesced riders: the label reflects what
 // clients ask for, not what the engine ran).
@@ -198,17 +212,10 @@ func (m *metrics) meanJobSeconds() float64 {
 // gauges are point-in-time values owned by the server, passed in at
 // render time.
 type gauges struct {
-	queueDepth  int
-	queueCap    int
-	cacheLen    int
-	cacheDisk   int
-	cacheBytes  int64
-	hits        int64
-	misses      int64
-	spills      int64
-	verifyFails int64
+	queueDepth int
+	queueCap   int
 
-	// Point-store snapshot; pointStore is false when memoization is
+	// Result-store snapshot; pointStore is false when result reuse is
 	// disabled (the rrserve_pointstore_* series are then omitted).
 	pointStore        bool
 	points            pointstore.Counters
@@ -247,13 +254,8 @@ func (m *metrics) writeProm(w io.Writer, g gauges) {
 	gauge("rrserve_queue_depth", "Jobs waiting in the FIFO queue.", int64(g.queueDepth))
 	gauge("rrserve_queue_capacity", "Configured queue capacity.", int64(g.queueCap))
 
-	counter("rrserve_cache_hits_total", "Result-cache hits (memory or verified disk).", g.hits)
-	counter("rrserve_cache_misses_total", "Result-cache misses.", g.misses)
-	counter("rrserve_cache_spills_total", "Entries spilled to the disk tier.", g.spills)
-	counter("rrserve_cache_verify_failures_total", "Disk entries rejected by checksum verification.", g.verifyFails)
-	gauge("rrserve_cache_entries", "In-memory cache entries.", int64(g.cacheLen))
-	gauge("rrserve_cache_disk_entries", "Disk-tier cache entries.", int64(g.cacheDisk))
-	gauge("rrserve_cache_bytes", "In-memory cache payload bytes.", g.cacheBytes)
+	counter("rrserve_cache_hits_total", "Submissions answered with a stored report (memory or verified disk).", m.cacheHits)
+	counter("rrserve_cache_misses_total", "Submissions whose report was not stored.", m.cacheMisses)
 
 	counter("rrserve_engine_runs_total", "Underlying experiment-engine sweeps executed.", m.engineRuns)
 	counter("rrserve_sweep_points_total", "Simulation cells completed across all jobs.", m.sweepPoints)
@@ -269,18 +271,18 @@ func (m *metrics) writeProm(w io.Writer, g gauges) {
 	writeHistogram(w, "rrserve_fidelity_error_abs", "Absolute analytic-vs-simulator efficiency error per refined cell.", m.fidelityErr)
 
 	if g.pointStore {
-		counter("rrserve_pointstore_hits_total", "Point-store lookups answered from memory or verified disk.", g.points.Hits)
-		counter("rrserve_pointstore_misses_total", "Point-store lookups that had to simulate.", g.points.Misses)
+		counter("rrserve_pointstore_hits_total", "Result-store lookups (points and reports) answered from memory or verified disk.", g.points.Hits)
+		counter("rrserve_pointstore_misses_total", "Points the result store had to compute.", g.points.Misses)
 		counter("rrserve_pointstore_coalesced_total", "Point computations joined onto an identical in-flight simulation.", g.points.Joins)
-		counter("rrserve_pointstore_evictions_total", "Point entries evicted from the memory tier by the byte budget.", g.points.Evictions)
-		counter("rrserve_pointstore_spill_bytes_total", "Point payload bytes written to the disk tier.", g.points.SpillBytes)
-		counter("rrserve_pointstore_spill_failures_total", "Point entries lost because their disk spill failed.", g.points.SpillFails)
-		counter("rrserve_pointstore_verify_failures_total", "Point disk entries rejected by checksum verification.", g.points.VerifyFails)
-		gauge("rrserve_pointstore_entries", "In-memory point-store entries.", int64(g.pointEntries))
-		gauge("rrserve_pointstore_disk_entries", "Disk-tier point-store entries.", int64(g.pointDisk))
-		gauge("rrserve_pointstore_bytes", "In-memory point-store payload bytes.", g.pointBytes)
-		gauge("rrserve_pointstore_shards", "Point-store shard count (lock-striping width).", int64(g.pointShards))
-		gauge("rrserve_pointstore_spill_pending", "Evicted point entries awaiting their background disk write.", int64(g.pointSpillPending))
+		counter("rrserve_pointstore_evictions_total", "Result-store entries evicted from the memory tier by the byte budget.", g.points.Evictions)
+		counter("rrserve_pointstore_spill_bytes_total", "Result-store payload bytes written to the disk tier.", g.points.SpillBytes)
+		counter("rrserve_pointstore_spill_failures_total", "Result-store entries lost because their disk spill failed.", g.points.SpillFails)
+		counter("rrserve_pointstore_verify_failures_total", "Result-store disk entries rejected by checksum verification.", g.points.VerifyFails)
+		gauge("rrserve_pointstore_entries", "In-memory result-store entries (points and reports).", int64(g.pointEntries))
+		gauge("rrserve_pointstore_disk_entries", "Disk-tier result-store entries.", int64(g.pointDisk))
+		gauge("rrserve_pointstore_bytes", "In-memory result-store payload bytes.", g.pointBytes)
+		gauge("rrserve_pointstore_shards", "Result-store shard count (lock-striping width).", int64(g.pointShards))
+		gauge("rrserve_pointstore_spill_pending", "Evicted entries awaiting their background disk write.", int64(g.pointSpillPending))
 	}
 
 	// Per-tenant admission metrics.

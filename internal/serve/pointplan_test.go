@@ -67,7 +67,7 @@ func TestOverlappingJobsShareSimulatedPoints(t *testing.T) {
 
 // TestFullyCoveredRequestAssemblesInline pins the planner fast path: a
 // request whose every point is already stored — here the same cells in
-// reversed grid order, which the whole-report cache cannot answer —
+// reversed grid order, which no stored report answers —
 // returns a done job synchronously (200), simulating nothing.
 func TestFullyCoveredRequestAssemblesInline(t *testing.T) {
 	s, err := New(testConfig())
@@ -186,7 +186,7 @@ func TestPointStoreMetricsExported(t *testing.T) {
 	}
 	waitDone(t, j)
 	reordered := tinyRequest()
-	reordered.L = []int{16} // same single cell; hit the report cache
+	reordered.L = []int{16} // same single cell; hit the stored report
 	if _, _, err := s.Submit(reordered); err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestPointStoreMetricsExported(t *testing.T) {
 		"rrserve_pointstore_evictions_total",
 		"rrserve_pointstore_spill_bytes_total",
 		"rrserve_pointstore_verify_failures_total",
-		"rrserve_pointstore_entries 2",
+		"rrserve_pointstore_entries 3", // two points plus the report
 		"rrserve_plan_points_total 2",
 		"rrserve_plan_cached_points_total 0",
 	} {
@@ -212,8 +212,9 @@ func TestPointStoreMetricsExported(t *testing.T) {
 }
 
 // TestPointStorePersistsAcrossRestart checks warm-restart behaviour: a
-// daemon with a point-cache directory that shuts down cleanly serves a
-// reordered grid from disk after restart, simulating nothing.
+// daemon with a point-cache directory that shuts down cleanly answers
+// a repeated request from its stored report after restart, simulating
+// nothing.
 func TestPointStorePersistsAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig()
@@ -245,10 +246,10 @@ func TestPointStorePersistsAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The report cache may or may not also hit (same CacheDir is not
-	// configured), but the point store must: zero new simulations.
-	if status == http.StatusCreated {
-		waitDone(t, j2)
+	// The report itself persisted with the points: the restarted
+	// daemon answers it from the store, simulating nothing.
+	if status != http.StatusOK || !j2.Status(false).Cached {
+		t.Fatalf("restarted submit: status=%d cached=%v, want 200 from the stored report", status, j2.Status(false).Cached)
 	}
 	if j2.StateNow() != StateDone {
 		t.Fatalf("restarted job state = %s", j2.StateNow())

@@ -35,7 +35,7 @@ type wirePoint struct {
 	Probes        int64   `json:"probes"`
 }
 
-// wireReport is the canonical report body stored in the cache and
+// wireReport is the canonical report body kept in the result store and
 // returned in job results.
 type wireReport struct {
 	ID     string      `json:"id"`
@@ -46,7 +46,7 @@ type wireReport struct {
 
 // encodeReport serializes a complete report canonically. Reports with
 // a non-nil Err are not encodable: partial results must never enter
-// the cache.
+// the result store.
 func encodeReport(r *experiment.Report) ([]byte, error) {
 	if r.Err != nil {
 		return nil, fmt.Errorf("refusing to encode partial report: %w", r.Err)

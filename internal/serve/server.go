@@ -33,21 +33,14 @@ type Config struct {
 	PointWorkers int
 	// JobTimeout caps one job's execution (default 10 minutes).
 	JobTimeout time.Duration
-	// CacheBytes is the in-memory result-cache budget (default 64 MiB;
-	// negative disables the memory tier).
-	CacheBytes int64
-	// CacheDir, when non-empty, holds the disk spill tier and its
-	// persisted index.
-	CacheDir string
-	// PointCacheBytes is the in-memory budget of the point-granular
-	// result store (default 32 MiB; negative disables point-level
-	// memoization entirely). Where the report cache above answers only
-	// exact request repeats, the point store lets overlapping grids
-	// share their common cells.
+	// PointCacheBytes is the in-memory budget of the result store
+	// (default 32 MiB; negative disables all result reuse). The store
+	// holds sweep points, so overlapping grids share their common
+	// cells, and finished reports under their request key, so exact
+	// repeats are answered without assembly.
 	PointCacheBytes int64
-	// PointCacheDir, when non-empty, holds the point store's disk
-	// spill tier and persisted index. Keep it distinct from CacheDir
-	// only by preference; the index file names do not collide.
+	// PointCacheDir, when non-empty, holds the result store's disk
+	// spill tier and persisted index (points.json).
 	PointCacheDir string
 	// PointCacheShards sets the point store's shard count (rounded up
 	// to a power of two). 0 picks a count matched to GOMAXPROCS. More
@@ -117,9 +110,6 @@ func (c Config) withDefaults() Config {
 	if c.JobTimeout <= 0 {
 		c.JobTimeout = 10 * time.Minute
 	}
-	if c.CacheBytes == 0 {
-		c.CacheBytes = 64 << 20
-	}
 	if c.PointCacheBytes == 0 {
 		c.PointCacheBytes = 32 << 20
 	}
@@ -141,12 +131,11 @@ func (c Config) withDefaults() Config {
 // Server is the experiment-as-a-service daemon core: a bounded job
 // queue, a worker pool driving the experiment engine, a single-flight
 // table coalescing identical submissions, and the content-addressed
-// result cache. Wrap Handler in an http.Server to expose it.
+// result store. Wrap Handler in an http.Server to expose it.
 type Server struct {
 	cfg    Config
 	log    *log.Logger
-	cache  *Cache
-	points *pointstore.Store // nil when point memoization is disabled
+	points *pointstore.Store // nil when result reuse is disabled
 	met    *metrics
 	mux    *http.ServeMux
 
@@ -175,8 +164,8 @@ type Server struct {
 	postAdmitHook func(j *Job)
 }
 
-// New builds a Server (loading the disk cache index, if any). Call
-// Start to launch the workers.
+// New builds a Server (loading the result store's disk index, if
+// any). Call Start to launch the workers.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	switch cfg.DefaultFidelity {
@@ -184,12 +173,9 @@ func New(cfg Config) (*Server, error) {
 	default:
 		return nil, fmt.Errorf("serve: unknown default fidelity %q (want sim, machine, analytic, or adaptive)", cfg.DefaultFidelity)
 	}
-	cache, err := NewCache(cfg.CacheBytes, cfg.CacheDir)
-	if err != nil {
-		return nil, err
-	}
 	var points *pointstore.Store
 	if cfg.PointCacheBytes > 0 {
+		var err error
 		points, err = pointstore.NewWith(cfg.PointCacheBytes, cfg.PointCacheDir, pointstore.Options{
 			Shards:     cfg.PointCacheShards,
 			SpillQueue: cfg.PointCacheSpillQueue,
@@ -202,7 +188,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:        cfg,
 		log:        cfg.Logger,
-		cache:      cache,
 		points:     points,
 		met:        newMetrics(),
 		baseCtx:    ctx,
@@ -235,8 +220,8 @@ func (s *Server) Start() {
 
 // Shutdown gracefully stops the server: no new submissions are
 // accepted, queued and running jobs get until ctx's deadline to
-// finish, then their contexts are cancelled, and finally the disk
-// cache index is persisted. Safe to call once.
+// finish, then their contexts are cancelled, and finally the result
+// store's disk index is persisted. Safe to call once.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if s.draining {
@@ -276,22 +261,18 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 	}
 	s.baseCancel()
-	// Persist both indexes even when one fails: skipping the point
-	// store because the report cache errored would silently lose the
-	// warm point index.
-	var errs []error
-	if err := s.cache.SaveIndex(); err != nil {
-		errs = append(errs, fmt.Errorf("serve: persisting cache index: %w", err))
+	if s.points == nil {
+		return nil
 	}
-	if s.points != nil {
-		if err := s.points.SaveIndex(); err != nil {
-			errs = append(errs, fmt.Errorf("serve: persisting point-store index: %w", err))
-		}
-		// Release the point-cache dir's advisory lock so a restarting
-		// process (or a test reopening the dir) can claim it.
-		if err := s.points.Close(); err != nil {
-			errs = append(errs, fmt.Errorf("serve: closing point store: %w", err))
-		}
+	var errs []error
+	if err := s.points.SaveIndex(); err != nil {
+		errs = append(errs, fmt.Errorf("serve: persisting point-store index: %w", err))
+	}
+	// Close even when the save failed: it releases the dir's advisory
+	// lock so a restarting process (or a test reopening the dir) can
+	// claim it.
+	if err := s.points.Close(); err != nil {
+		errs = append(errs, fmt.Errorf("serve: closing point store: %w", err))
 	}
 	return errors.Join(errs...)
 }
@@ -413,6 +394,15 @@ func (s *Server) dropJob(j *Job) {
 // must then run or requeue it.
 func (s *Server) admit(req Request, key string, planned, covered int, partial *partialResult) (j *Job, status int, inline bool, err error) {
 	tenant := req.tenantName()
+	// Look the report up before taking the server lock: a disk-tier hit
+	// reads and verifies a file, which must not stall every other
+	// submission. A job finishing between here and the lock only costs
+	// this submission an inline assembly of the same bytes.
+	var stored []byte
+	var found bool
+	if s.points != nil {
+		stored, found = s.points.Get(key)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
@@ -431,15 +421,16 @@ func (s *Server) admit(req Request, key string, planned, covered int, partial *p
 		return j, http.StatusOK, false, nil
 	}
 
-	// Content-addressed cache: the result already exists; materialize
-	// a terminal job so the client gets the uniform job interface.
-	if data, ok := s.cache.Get(key); ok {
+	// The report already exists in the result store: materialize a
+	// terminal job so the client gets the uniform job interface.
+	s.met.observeReportLookup(found)
+	if found {
 		// The refined result already exists, so an adaptive partial
 		// would only be a worse answer to the same question: drop it.
 		j := s.newJobLocked(key, req, planned, covered, nil)
 		j.cached = true
 		j.state = StateDone
-		j.result = data
+		j.result = stored
 		j.finished = time.Now()
 		j.appendEventLocked(Event{Type: EventState, State: StateDone, Cached: true})
 		close(j.done)
@@ -458,9 +449,9 @@ func (s *Server) admit(req Request, key string, planned, covered int, partial *p
 	}
 	s.met.addPlan(int64(planned), int64(covered))
 
-	// Point-store fast path: the report cache missed (different grid
-	// shape, or evicted) but every point the request addresses is
-	// already stored. Hand the job back for inline assembly.
+	// Point-store fast path: the report is not stored (different grid
+	// order, or evicted) but every point the request addresses is.
+	// Hand the job back for inline assembly.
 	if planned > 0 && covered == planned {
 		j := s.newJobLocked(key, req, planned, covered, partial)
 		s.inflight[key] = j
@@ -554,8 +545,8 @@ func (s *Server) analyticPhase(req Request) (*partialResult, error) {
 // pruneJobsLocked bounds the job table: terminal jobs past the
 // retention window are dropped, and while the table exceeds MaxJobs the
 // oldest terminal jobs go too. Result bytes live on in the
-// content-addressed cache; only the per-job status record (and its ID)
-// disappears, so a long-running daemon's memory tracks the cache
+// content-addressed store; only the per-job status record (and its ID)
+// disappears, so a long-running daemon's memory tracks the store
 // budget, not every submission ever made. Caller holds s.mu.
 func (s *Server) pruneJobsLocked() {
 	cutoff := time.Now().Add(-s.cfg.JobRetention)
@@ -664,24 +655,33 @@ func (s *Server) runOne(j *Job) {
 	switch {
 	case err == nil:
 		final = StateDone
-		s.cache.Put(j.Key, data)
-		if sk, ok := j.Req.simKey(); ok {
-			// An adaptive job's converged bytes ARE the sim report; warm
-			// the sim-tier twin so a later fidelity=sim submission of the
-			// same request is a cache hit.
-			s.cache.Put(sk, data)
+		if s.points != nil {
+			s.points.Put(j.Key, data)
+			if sk, ok := j.Req.simKey(); ok {
+				// An adaptive job's converged bytes ARE the sim report;
+				// warm the sim-tier twin so a later fidelity=sim
+				// submission of the same request is a cache hit.
+				s.points.Put(sk, data)
+			}
 		}
-		j.finalize(StateDone, data, nil)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		final = StateCanceled
-		j.finalize(StateCanceled, nil, err)
 	default:
 		final = StateFailed
-		j.finalize(StateFailed, nil, err)
 	}
+	// Settle the bookkeeping before the job finishes. A client that saw
+	// it finish then finds the stored report instead of coalescing onto
+	// the finished job, its tenant slot free, and the metrics counting
+	// it. The report is stored before the job leaves the in-flight
+	// table, so a concurrent submission finds one or the other.
 	s.forgetInflight(j)
 	s.queue.release(j.tenant)
 	s.met.jobFinished(j.Req.Experiment, final, seconds, true)
+	if final == StateDone {
+		j.finalize(final, data, nil)
+	} else {
+		j.finalize(final, nil, err)
+	}
 	s.log.Printf("job %s %s tenant=%s experiment=%s points=%d elapsed=%.3fs",
 		j.ID, final, j.tenant, j.Req.Experiment, points, seconds)
 }
@@ -734,14 +734,14 @@ func (s *Server) runExperiment(ctx context.Context, j *Job) ([]byte, int, error)
 // QueueDepth returns the number of queued (not yet running) jobs.
 func (s *Server) QueueDepth() int { return s.queue.depth() }
 
-// Points returns the server's point store (nil when point memoization
-// is disabled). A worker-mode daemon hands it to the cluster compute
-// handler so shard requests share the serving path's cache.
+// Points returns the server's result store (nil when result reuse is
+// disabled). A worker-mode daemon hands it to the cluster compute
+// handler so shard requests share the serving path's stored points.
 func (s *Server) Points() *pointstore.Store { return s.points }
 
-// PointCounters returns the point store's event counters (zero values
-// when point memoization is disabled), for metrics and benchmarks that
-// need to know how much simulation a request actually cost.
+// PointCounters returns the result store's event counters (zero
+// values when result reuse is disabled), for metrics and benchmarks
+// that need to know how much simulation a request actually cost.
 func (s *Server) PointCounters() pointstore.Counters {
 	if s.points == nil {
 		return pointstore.Counters{}
@@ -916,18 +916,10 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	hits, misses, spills, verifyFails := s.cache.Counters()
 	g := gauges{
-		queueDepth:  s.QueueDepth(),
-		queueCap:    s.cfg.QueueCap,
-		cacheLen:    s.cache.Len(),
-		cacheDisk:   s.cache.DiskLen(),
-		cacheBytes:  s.cache.Bytes(),
-		hits:        hits,
-		misses:      misses,
-		spills:      spills,
-		verifyFails: verifyFails,
-		tenants:     s.queue.tenantsSnapshot(),
+		queueDepth: s.QueueDepth(),
+		queueCap:   s.cfg.QueueCap,
+		tenants:    s.queue.tenantsSnapshot(),
 	}
 	if s.points != nil {
 		g.pointStore = true
