@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet lint-asm lint-asm-sarif bench bench-json bench-smoke bench-gate examples figures data data-check serve-smoke load-smoke cluster-smoke cluster-bench clean
+.PHONY: all build test test-race vet fmt-check lint-asm lint-asm-sarif bench bench-json bench-smoke bench-gate examples figures data data-check serve-smoke load-smoke cluster-smoke cluster-bench clean
 
 all: test
 
@@ -11,6 +11,13 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Fail when any tracked Go file is not gofmt-formatted. Listing tracked
+# files keeps the check out of ignored build output such as
+# .bench_build/, which perfbench/run.sh fills with a Go module cache.
+fmt-check:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 test: vet
 	$(GO) test ./...

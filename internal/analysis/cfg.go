@@ -42,7 +42,7 @@ type cfg struct {
 	intoData []edge
 }
 
-func (c *cfg) idx(addr int) int     { return addr - c.start }
+func (c *cfg) idx(addr int) int      { return addr - c.start }
 func (c *cfg) inRange(addr int) bool { return addr >= c.start && addr < c.end }
 
 func (c *cfg) kindAt(addr int) wordKind {

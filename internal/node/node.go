@@ -59,7 +59,11 @@ type Config struct {
 	// matching the paper's transient exclusion.
 	WindowHead, WindowTail float64
 	// Tracer, when non-nil, records a cycle-level activity timeline
-	// (see internal/trace). Tracing does not perturb the simulation.
+	// (see internal/trace). Tracing does not perturb the simulation: a
+	// traced run returns the same Result as an untraced one. It does
+	// keep the per-probe two-phase polling loop, so the timeline shows
+	// every probe, where an untraced run charges a streak of quiet probe
+	// passes in one step.
 	Tracer *trace.Recorder
 	// DribbleUnload models the dribbling-registers hardware the paper
 	// mentions the APRIL designers exploring (Soundararajan's
@@ -165,7 +169,7 @@ func Run(cfg Config, spec workload.Spec, seed uint64) Result {
 	s.totalWork = workload.TotalWork(threads)
 	s.window = stats.NewWindow(cfg.WindowHead, cfg.WindowTail)
 	s.runLen = rng.NewSampler(spec.RunLen)
-	s.latency = spec.Latency
+	s.latency = rng.NewSampler(spec.Latency)
 	s.src = src.Split()
 	s.acct = stats.CycleAccount{}
 	s.failMin = 0
@@ -212,7 +216,7 @@ func (s *state) release() {
 	s.events.Reset()
 	s.alloc = nil
 	s.window = nil
-	s.runLen, s.latency = rng.Sampler{}, nil
+	s.runLen, s.latency = rng.Sampler{}, rng.Sampler{}
 	s.src = nil
 	s.cfg = Config{}
 	s.res = Result{}
@@ -233,9 +237,10 @@ type state struct {
 	// Thread structs are recycled across runs via the state pool.
 	threadBuf []*thread.Thread
 
-	runLen  rng.Sampler // the run-length Dist with its constants hoisted
-	latency rng.Dist
-	src     *rng.Source
+	// runLen and latency draw from the workload's Dists (see
+	// rng.Sampler).
+	runLen, latency rng.Sampler
+	src             *rng.Source
 
 	totalWork int64
 	// failMin is the smallest register requirement that failed to
@@ -425,6 +430,9 @@ func (s *state) trySwitchSpin() bool {
 	if s.queue.Len() == 0 || s.ring.Len() == 0 {
 		return false
 	}
+	if s.cfg.Tracer == nil {
+		s.chargeQuietPasses()
+	}
 	// Each iterates the live ring without allocating a snapshot; the
 	// probe loop never changes ring membership except when it stops
 	// (resuming or unloading the probed context).
@@ -453,6 +461,56 @@ func (s *state) trySwitchSpin() bool {
 		return true
 	})
 	return progressed || resumed
+}
+
+// chargeQuietPasses charges, in one step, the longest streak of whole
+// probe passes in which nothing happens: no fault completion falls due
+// and no probed context reaches its unload threshold. trySwitchSpin
+// runs only when no resident context is runnable, so a pass probes
+// every context in the ring. A quiet pass leaves the ring pointer where
+// it was, cannot admit a thread (fill is a no-op while failMin holds,
+// and nothing frees registers), and executes no useful work, so no
+// window snapshot can fire. k quiet passes therefore add exactly k
+// times one pass's spin cycles, probes and poll costs, and
+// advanceClock grows the resident and waste integrals by the same
+// amounts the per-probe charges would. The per-probe loop then runs
+// the pass in which something happens.
+//
+// k is bounded by the next event: the k-th pass must end before it
+// falls due. Under TwoPhase every context's poll cost must also stay
+// below its unload cost; Never has no such bound. Any other policy
+// keeps the per-probe loop.
+func (s *state) chargeQuietPasses() {
+	next, ok := s.events.PeekTime()
+	if !ok {
+		return
+	}
+	n := int64(s.ring.Len())
+	pass := n * s.cfg.ProbeCost
+	k := (next - s.events.Now() - 1) / pass
+	switch s.cfg.Policy.(type) {
+	case policy.Never:
+	case policy.TwoPhase:
+		s.ring.Each(func(t *thread.Thread) bool {
+			if h := (t.UnloadCost() - t.PollCost - 1) / s.cfg.ProbeCost; h < k {
+				k = h
+			}
+			return k > 0
+		})
+	default:
+		return
+	}
+	if k <= 0 {
+		return
+	}
+	poll := k * s.cfg.ProbeCost
+	s.ring.Each(func(t *thread.Thread) bool {
+		t.PollCost += poll
+		return true
+	})
+	s.res.Probes += k * n
+	s.acct.Charge(stats.Spin, k*pass)
+	s.advanceClock(k * pass)
 }
 
 // unload evicts a blocked resident thread, freeing its context.

@@ -42,35 +42,111 @@ func (g Geometric) Mean() float64 { return g.MeanValue }
 
 func (g Geometric) String() string { return fmt.Sprintf("geometric(%g)", g.MeanValue) }
 
-// Sampler draws from a Dist with its per-distribution constants
-// computed once: for a Geometric, the ln(1-1/R) that Source.Geometric
-// otherwise recomputes on every draw. It returns exactly the values of
-// its Dist's Sample, from the same random draws, so a hot loop (the
-// node simulator samples a run length per context switch) can use one
-// without changing a single result. Build one with NewSampler.
+// Sampler draws from a Dist with its per-distribution work done once.
+// It returns exactly the values of its Dist's Sample, from the same
+// random draws, so a hot loop (the node simulator draws a run length
+// and a latency per simulated fault) can use one without changing a
+// single result:
+//
+//   - a Geometric or Exponential draw is answered from a memoized guide
+//     table wherever the table can prove the formula's answer, and from
+//     the formula on the same 53-bit draw everywhere else (guide.go);
+//     a Geometric's ln(1-1/R) is computed once;
+//   - a Constant is returned without interface dispatch;
+//   - a Mixture draws its branch as Mixture.Sample does, then draws the
+//     branch through a Sampler of its own.
+//
+// Any other Dist is sampled through its interface. Build one with
+// NewSampler.
 type Sampler struct {
-	dist Dist
-	// geo is set for a Geometric with mean above 1, which Sample then
-	// draws directly with geoLogQ = ln(1-1/geoMean).
-	geo              bool
-	geoMean, geoLogQ float64
+	// mix is set for a Mixture: a draw below p picks a, else b. Every
+	// other Dist draws from a alone.
+	mix  bool
+	p    float64
+	a, b leaf
 }
 
 // NewSampler returns a Sampler for d.
-func NewSampler(d Dist) Sampler {
-	s := Sampler{dist: d}
-	if g, ok := d.(Geometric); ok && g.MeanValue > 1 {
-		s.geo, s.geoMean, s.geoLogQ = true, g.MeanValue, math.Log(1-1/g.MeanValue)
+func NewSampler(d Dist) Sampler { return newSampler(d, guides) }
+
+func newSampler(d Dist, memo *guideMemo) Sampler {
+	if m, ok := d.(Mixture); ok {
+		return Sampler{mix: true, p: m.P, a: newLeaf(m.A, memo), b: newLeaf(m.B, memo)}
 	}
-	return s
+	return Sampler{a: newLeaf(d, memo)}
 }
 
 // Sample draws one value using src, as the Dist's Sample would.
 func (s *Sampler) Sample(src *Source) int {
-	if s.geo {
-		return src.geometric(s.geoMean, s.geoLogQ)
+	if s.mix && !(src.Float64() < s.p) {
+		return s.b.sample(src)
 	}
-	return s.dist.Sample(src)
+	return s.a.sample(src)
+}
+
+type leafKind uint8
+
+const (
+	leafDist leafKind = iota // the Dist's own Sample
+	leafConstant
+	leafGeometric
+	leafExponential
+)
+
+// leaf samples one distribution that is not a Mixture.
+type leaf struct {
+	kind  leafKind
+	value int     // leafConstant
+	mean  float64 // leafGeometric, leafExponential
+	logQ  float64 // leafGeometric: ln(1-1/mean)
+	guide guide   // leafGeometric, leafExponential
+	dist  Dist    // leafDist
+}
+
+func newLeaf(d Dist, memo *guideMemo) leaf {
+	switch d := d.(type) {
+	case Constant:
+		return leaf{kind: leafConstant, value: d.Value}
+	case Geometric:
+		mean := d.MeanValue
+		if mean == 1 {
+			// Source.Geometric(1) returns 1 without drawing.
+			return leaf{kind: leafConstant, value: 1}
+		}
+		if mean > 1 {
+			logQ := math.Log(1 - 1/mean)
+			return leaf{kind: leafGeometric, mean: mean, logQ: logQ,
+				guide: memo.get(guideKey{leafGeometric, mean}, func() guide { return geometricGuide(mean, logQ) })}
+		}
+	case Exponential:
+		if mean := d.MeanValue; mean > 0 {
+			return leaf{kind: leafExponential, mean: mean,
+				guide: memo.get(guideKey{leafExponential, mean}, func() guide { return exponentialGuide(mean) })}
+		}
+	}
+	return leaf{kind: leafDist, dist: d}
+}
+
+func (l *leaf) sample(src *Source) int {
+	switch l.kind {
+	case leafConstant:
+		return l.value
+	case leafGeometric, leafExponential:
+		return l.at(src.Uint64() >> 11)
+	}
+	return l.dist.Sample(src)
+}
+
+// at is a Geometric or Exponential leaf's value for the 53-bit draw m:
+// the table's answer, or else the formula's.
+func (l *leaf) at(m uint64) int {
+	if k := l.guide.lookup(m); k != 0 {
+		return k
+	}
+	if l.kind == leafGeometric {
+		return geometricAt(m, l.mean, l.logQ)
+	}
+	return latency(exponentialAt(m, l.mean))
 }
 
 // Exponential is an exponential distribution with the given mean,
@@ -79,8 +155,11 @@ func (s *Sampler) Sample(src *Source) int {
 type Exponential struct{ MeanValue float64 }
 
 // Sample implements Dist.
-func (e Exponential) Sample(src *Source) int {
-	v := src.Exponential(e.MeanValue)
+func (e Exponential) Sample(src *Source) int { return latency(src.Exponential(e.MeanValue)) }
+
+// latency rounds an exponential draw v to a whole number of cycles, at
+// least 1. It is non-decreasing in v, which the guide tables rely on.
+func latency(v float64) int {
 	if v < 1 {
 		return 1
 	}
@@ -91,6 +170,31 @@ func (e Exponential) Sample(src *Source) int {
 func (e Exponential) Mean() float64 { return e.MeanValue }
 
 func (e Exponential) String() string { return fmt.Sprintf("exponential(%g)", e.MeanValue) }
+
+// Mixture samples from A with probability P, else from B. The node
+// simulator's combined workload uses one for its latencies: a constant
+// cache-fault latency mixed with an exponential synchronization one.
+type Mixture struct {
+	P    float64
+	A, B Dist
+}
+
+// Sample implements Dist.
+func (m Mixture) Sample(src *Source) int {
+	if src.Float64() < m.P {
+		return m.A.Sample(src)
+	}
+	return m.B.Sample(src)
+}
+
+// Mean implements Dist.
+func (m Mixture) Mean() float64 {
+	return m.P*m.A.Mean() + (1-m.P)*m.B.Mean()
+}
+
+func (m Mixture) String() string {
+	return fmt.Sprintf("mix(%.2f:%s, %s)", m.P, m.A, m.B)
+}
 
 // Weighted is a discrete distribution over explicit values with
 // relative weights — used for bimodal context-size populations such as

@@ -88,6 +88,11 @@ func (r *Source) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
+// unit returns 1 - Float64() for the 53-bit draw m = Uint64()>>11
+// behind it: a uniform in (0, 1] whose log the inverse transforms take.
+// It is exact, since 2^53 - m is representable.
+func unit(m uint64) float64 { return 1 - float64(m)/(1<<53) }
+
 // Intn returns a uniformly distributed int in [0, n). It panics if
 // n <= 0.
 func (r *Source) Intn(n int) int {
@@ -125,8 +130,13 @@ func (r *Source) Exponential(mean float64) float64 {
 	if mean <= 0 {
 		panic("rng: Exponential called with mean <= 0")
 	}
-	// Inverse transform sampling; 1-Float64() avoids log(0).
-	return -mean * math.Log(1-r.Float64())
+	return exponentialAt(r.Uint64()>>11, mean)
+}
+
+// exponentialAt is Exponential's inverse transform on the 53-bit draw
+// m; unit(m), which is 1-Float64(), avoids log(0).
+func exponentialAt(m uint64, mean float64) float64 {
+	return -mean * math.Log(unit(m))
 }
 
 // Geometric returns a geometrically distributed sample (support 1, 2,
@@ -140,15 +150,21 @@ func (r *Source) Geometric(mean float64) int {
 	if mean == 1 {
 		return 1
 	}
-	return r.geometric(mean, math.Log(1-1/mean))
+	return geometricAt(r.Uint64()>>11, mean, math.Log(1-1/mean))
 }
 
-// geometric is Geometric's inverse transform, ceil(ln(U) / ln(1-p))
-// for U in (0,1] and p = 1/mean, with ln(1-p) passed in as logQ so a
-// Sampler can compute it once per distribution instead of per draw.
-func (r *Source) geometric(mean, logQ float64) int {
-	u := 1 - r.Float64() // in (0, 1]
-	k := math.Ceil(math.Log(u) / logQ)
+// geometricAt is Geometric's inverse transform, ceil(ln(U) / ln(1-p))
+// for U = unit(m) in (0,1] and p = 1/mean, with ln(1-p) passed in as
+// logQ so a Sampler can compute it once per distribution instead of per
+// draw.
+func geometricAt(m uint64, mean, logQ float64) int {
+	return runLength(math.Log(unit(m))/logQ, mean)
+}
+
+// runLength maps the real inverse transform x to Geometric's integer
+// draw. It is non-decreasing in x, which the guide tables rely on.
+func runLength(x, mean float64) int {
+	k := math.Ceil(x)
 	if k < 1 {
 		k = 1
 	}

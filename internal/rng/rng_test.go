@@ -227,9 +227,9 @@ func TestDistInterface(t *testing.T) {
 	}
 }
 
-// TestSamplerMatchesDist pins the hoisted constants: a Sampler returns
-// its Dist's values from the same draws, leaving the stream where the
-// Dist would.
+// TestSamplerMatchesDist pins the hoisted constants and the guide
+// tables: a Sampler returns its Dist's values from the same draws,
+// leaving the stream where the Dist would.
 func TestSamplerMatchesDist(t *testing.T) {
 	dists := []Dist{
 		Geometric{MeanValue: 1},
@@ -237,10 +237,20 @@ func TestSamplerMatchesDist(t *testing.T) {
 		Geometric{MeanValue: 3.7},
 		Geometric{MeanValue: 32},
 		Geometric{MeanValue: 1e9},
+		Geometric{MeanValue: 1e300},
 		Constant{Value: 7},
+		Exponential{MeanValue: 1.5},
+		Exponential{MeanValue: 64},
 		Exponential{MeanValue: 256},
+		Exponential{MeanValue: 1024},
+		Exponential{MeanValue: 72.45492415319924},
+		Exponential{MeanValue: 1e9},
+		Exponential{MeanValue: math.Inf(1)},
 		UniformInt{Lo: 6, Hi: 24},
 		NewWeighted([]int{8, 32}, []float64{3, 1}),
+		Mixture{P: 0.8, A: Constant{Value: 64}, B: Exponential{MeanValue: 512}},
+		Mixture{P: 0.3, A: Geometric{MeanValue: 8}, B: Exponential{MeanValue: 96}},
+		Mixture{P: 0.5, A: Mixture{P: 0.5, A: Constant{Value: 1}, B: Exponential{MeanValue: 8}}, B: Geometric{MeanValue: 1}},
 	}
 	for _, d := range dists {
 		for seed := uint64(1); seed <= 3; seed++ {
@@ -264,6 +274,7 @@ func TestDistStrings(t *testing.T) {
 		"geometric(32)":    Geometric{MeanValue: 32},
 		"exponential(256)": Exponential{MeanValue: 256},
 		"uniform(6,24)":    UniformInt{Lo: 6, Hi: 24},
+		"mix(0.80:constant(64), exponential(512))": Mixture{P: 0.8, A: Constant{Value: 64}, B: Exponential{MeanValue: 512}},
 	}
 	for want, d := range cases {
 		if d.String() != want {

@@ -422,21 +422,21 @@ type Plan struct {
 // Status is the JSON view of a job returned by the API. Result is the
 // canonical report JSON and is only present on done jobs.
 type Status struct {
-	ID         string          `json:"id"`
-	Key        string          `json:"key"`
-	Experiment string          `json:"experiment"`
-	Seed       uint64          `json:"seed"`
-	Scale      string          `json:"scale"`
-	Fidelity   string          `json:"fidelity,omitempty"`
-	Tenant     string          `json:"tenant,omitempty"`
-	State      State           `json:"state"`
-	Cached     bool            `json:"cached"`
-	Coalesced  int             `json:"coalesced"`
-	Error      string          `json:"error,omitempty"`
-	Progress   *Progress       `json:"progress,omitempty"`
-	Plan       *Plan           `json:"plan,omitempty"`
-	CreatedAt  time.Time       `json:"created_at"`
-	ElapsedMS  int64           `json:"elapsed_ms,omitempty"`
+	ID         string    `json:"id"`
+	Key        string    `json:"key"`
+	Experiment string    `json:"experiment"`
+	Seed       uint64    `json:"seed"`
+	Scale      string    `json:"scale"`
+	Fidelity   string    `json:"fidelity,omitempty"`
+	Tenant     string    `json:"tenant,omitempty"`
+	State      State     `json:"state"`
+	Cached     bool      `json:"cached"`
+	Coalesced  int       `json:"coalesced"`
+	Error      string    `json:"error,omitempty"`
+	Progress   *Progress `json:"progress,omitempty"`
+	Plan       *Plan     `json:"plan,omitempty"`
+	CreatedAt  time.Time `json:"created_at"`
+	ElapsedMS  int64     `json:"elapsed_ms,omitempty"`
 	// Partial is the immediate analytic report of an adaptive job,
 	// available from the moment Submit returns and dropped once the
 	// refined Result lands. Bounds are the refinement's measured

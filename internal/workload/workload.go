@@ -141,30 +141,9 @@ func Combined(rCache, lCache, rSync, lSync int, ctx rng.Dist, threads int, workP
 	return Spec{
 		Name:    fmt.Sprintf("combined Rc=%d Lc=%d Rs=%d Ls=%d", rCache, lCache, rSync, lSync),
 		RunLen:  rng.Geometric{MeanValue: 1 / combinedRate},
-		Latency: mixture{p: pCache, a: rng.Constant{Value: lCache}, b: rng.Exponential{MeanValue: float64(lSync)}},
+		Latency: rng.Mixture{P: pCache, A: rng.Constant{Value: lCache}, B: rng.Exponential{MeanValue: float64(lSync)}},
 		CtxSize: ctx,
 		Work:    rng.Constant{Value: int(workPer)},
 		Threads: threads,
 	}
-}
-
-// mixture samples from a with probability p, else from b.
-type mixture struct {
-	p    float64
-	a, b rng.Dist
-}
-
-func (m mixture) Sample(src *rng.Source) int {
-	if src.Float64() < m.p {
-		return m.a.Sample(src)
-	}
-	return m.b.Sample(src)
-}
-
-func (m mixture) Mean() float64 {
-	return m.p*m.a.Mean() + (1-m.p)*m.b.Mean()
-}
-
-func (m mixture) String() string {
-	return fmt.Sprintf("mix(%.2f:%s, %s)", m.p, m.a, m.b)
 }

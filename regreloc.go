@@ -2,10 +2,10 @@ package regreloc
 
 import (
 	"regreloc/internal/alloc"
+	"regreloc/internal/analysis"
 	"regreloc/internal/analytic"
 	"regreloc/internal/asm"
 	"regreloc/internal/cache"
-	"regreloc/internal/analysis"
 	"regreloc/internal/check"
 	"regreloc/internal/compiler"
 	"regreloc/internal/experiment"
