@@ -4,8 +4,8 @@
 // violations of context boundaries, grown into a multi-pass framework:
 //
 //  1. CFG construction with reachability, so .word data and dead code
-//     stop producing false positives (the flat scanner in
-//     internal/check decodes every word).
+//     stop producing false positives (the flat scan, Flat, decodes
+//     every word).
 //  2. Backward per-register liveness dataflow, powering a
 //     flow-sensitive context-boundary check and Requirement(), which
 //     computes the minimal context size the code needs — the number
@@ -145,7 +145,7 @@ const (
 	// PassHazards is relocation hazard detection (RR201-RR206).
 	PassHazards
 	// PassUnreachable is the flat fallback scan over unreachable words
-	// (RR301) — the old internal/check behaviour, demoted to Info.
+	// (RR301) — the flat scan's behaviour, demoted to Info.
 	PassUnreachable
 	// PassInterproc is the interprocedural hazard family (RR401-RR404).
 	// It only fires when Options.Interprocedural builds the call-graph
@@ -293,7 +293,7 @@ func AnalyzeSource(src string, opts Options) (*Result, error) {
 // references (reads or writes — a dead store still needs its target
 // register to exist). Under MultiRRM the selector bit is masked, so
 // the requirement is per-context. Data words, padding, and dead code
-// do not contribute, unlike check.MaxRegister's flat scan.
+// do not contribute; MaxRegister's flat scan skips only the first two.
 func (r *Result) Requirement() int { return r.req }
 
 // Reachable reports whether the word at addr is reachable code.
@@ -405,9 +405,9 @@ func (r *Result) operandName(raw int) string {
 	return fmt.Sprintf("r%d", raw)
 }
 
-// contextRelative masks the MultiRRM selector bit when active.
-func (r *Result) contextRelative(raw int) int {
-	if r.opts.MultiRRM {
+// contextRelative masks the MultiRRM selector bit when multiRRM is set.
+func contextRelative(raw int, multiRRM bool) int {
+	if multiRRM {
 		return raw &^ selectorBit
 	}
 	return raw
@@ -443,7 +443,7 @@ func (r *Result) computeRequirement() int {
 			continue
 		}
 		for _, f := range operandFields(r.cfg.instrAt(a)) {
-			if v := r.contextRelative(f.value); v > max {
+			if v := contextRelative(f.value, r.opts.MultiRRM); v > max {
 				max = v
 			}
 		}
@@ -466,7 +466,7 @@ func (r *Result) boundsPass() {
 			continue
 		}
 		for _, f := range operandFields(r.cfg.instrAt(a)) {
-			if r.contextRelative(f.value) >= r.opts.ContextSize {
+			if contextRelative(f.value, r.opts.MultiRRM) >= r.opts.ContextSize {
 				r.report(CodeOutOfContext, Error, a,
 					"%s operand %s outside context of %d registers",
 					f.name, r.operandName(f.value), r.opts.ContextSize)
@@ -488,7 +488,7 @@ func (r *Result) unreachablePass() {
 			continue
 		}
 		for _, f := range operandFields(r.cfg.instrAt(a)) {
-			if r.contextRelative(f.value) >= r.opts.ContextSize {
+			if contextRelative(f.value, r.opts.MultiRRM) >= r.opts.ContextSize {
 				r.report(CodeUnreachable, Info, a,
 					"unreachable word decodes with %s operand %s outside context of %d registers (flat scan)",
 					f.name, r.operandName(f.value), r.opts.ContextSize)

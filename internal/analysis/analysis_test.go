@@ -62,7 +62,7 @@ func TestOutOfContextReachable(t *testing.T) {
 
 func TestDataWordsProduceNoFalsePositives(t *testing.T) {
 	// Both words decode as garbage instructions with huge operand
-	// fields; the old flat checker flagged them (see internal/check).
+	// fields; the flat scan flagged them before it tracked data words.
 	src := "halt\n.word 0x12345678\n.word 0xffffffff\n"
 	res := mustAnalyze(t, src, Options{ContextSize: 4})
 	if len(res.Diags) != 0 {

@@ -113,7 +113,7 @@ func computeWorstReq(r *Result) int {
 			continue
 		}
 		for _, f := range operandFields(r.cfg.instrAt(a)) {
-			if v := r.contextRelative(f.value); v > max {
+			if v := contextRelative(f.value, r.opts.MultiRRM); v > max {
 				max = v
 			}
 		}
@@ -293,7 +293,7 @@ func (ip *interproc) analyzeRoutine(rt *ipRoutine) bool {
 		}
 		in := c.instrAt(a)
 		for _, f := range operandFields(in) {
-			if v := ip.res.contextRelative(f.value); v > localMax {
+			if v := contextRelative(f.value, ip.res.opts.MultiRRM); v > localMax {
 				localMax = v
 			}
 		}

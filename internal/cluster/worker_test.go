@@ -109,7 +109,7 @@ func TestWorkerComputesCells(t *testing.T) {
 
 // TestWorkerServesWarmCellsFromStoreBatch pins the worker's warm
 // path: with a point store attached, a repeated request is answered
-// from the store's batched pre-pass — one hit per cell, zero fresh
+// from the plan's batched store probe — one hit per cell, zero fresh
 // simulations (misses) — and the bytes are identical to the cold run.
 // The consistent-hash ring routes the same keys to the same worker
 // precisely to make this path hot.

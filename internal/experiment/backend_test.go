@@ -110,11 +110,12 @@ func TestCrossTierStoreIsolation(t *testing.T) {
 func TestAnalyticBackendModel(t *testing.T) {
 	sc := Quick
 	sc.Fidelity = FidelityAnalytic
-	archs := []archSpec{fixedArch(6, policy.Never{})} // figure5's fixed arch
-	ms, err := sweep("figure5", 1, sc, []int{128}, []int{8}, []int{16}, cacheFaultSpec, archs)
-	if err != nil {
-		t.Fatal(err)
+	fixedOnly := &gridSweep{id: "figure5", archs: []archSpec{fixedArch(6, policy.Never{})}, spec: cacheFaultSpec}
+	r := fixedOnly.plan(1, sc, Grids{F: []int{128}, R: []int{8}, L: []int{16}}).Run(sc)
+	if r.Err != nil {
+		t.Fatal(r.Err)
 	}
+	ms := r.Points
 	if len(ms) != 1 {
 		t.Fatalf("got %d measurements, want 1", len(ms))
 	}

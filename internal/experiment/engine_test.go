@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"regreloc/internal/pointstore"
 )
 
 func TestForEachCoversAllIndices(t *testing.T) {
@@ -15,7 +17,7 @@ func TestForEachCoversAllIndices(t *testing.T) {
 		const n = 37
 		var mu sync.Mutex
 		counts := make([]int, n)
-		if err := forEach(context.Background(), workers, 0, n, nil, n, func(i int) {
+		if err := forEach(context.Background(), workers, n, func(i int) {
 			mu.Lock()
 			counts[i]++
 			mu.Unlock()
@@ -31,32 +33,43 @@ func TestForEachCoversAllIndices(t *testing.T) {
 }
 
 // TestForEachProgressOffset pins the cached-sweep progress contract:
-// when the engine resolves part of a sweep from the point store it runs
-// forEach with done0 > 0, and every progress update must be offset
-// against the full total — so a consumer sees 5/15 .. 15/15, never a
-// restart from 0/10 over the simulated remainder alone.
+// when part of a sweep resolves from the point store, those cells count
+// at once and every later update is offset against the full total —
+// so a consumer sees 8/12 .. 12/12, never a restart from 0/4 over the
+// computed remainder alone.
 func TestForEachProgressOffset(t *testing.T) {
+	store, err := pointstore.New(1<<20, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := tiny
+	sc.Workers = 4
+	sc.PointStore = store
+	figure5Sweep.plan(1, sc, Grids{F: []int{64, 128}, R: []int{8}, L: []int{16, 32}}).Run(sc)
+
 	var mu sync.Mutex
-	var last, calls int
-	progress := func(done, total int) {
+	var first, last, calls int
+	sc.Progress = func(done, total int) {
 		mu.Lock()
 		defer mu.Unlock()
-		calls++
-		if total != 15 {
+		if total != 12 {
 			t.Errorf("total = %d", total)
 		}
-		if done <= 5 {
-			t.Errorf("done = %d, want > done0 (5)", done)
+		if calls == 0 {
+			first = done
 		}
+		calls++
 		if done > last {
 			last = done
 		}
 	}
-	if err := forEach(context.Background(), 4, 5, 15, progress, 10, func(int) {}); err != nil {
-		t.Fatalf("forEach: %v", err)
+	// 8 of the 12 cells are stored: F=256 is new.
+	r := figure5Sweep.plan(1, sc, Grids{F: []int{64, 128, 256}, R: []int{8}, L: []int{16, 32}}).Run(sc)
+	if r.Err != nil {
+		t.Fatal(r.Err)
 	}
-	if calls != 10 || last != 15 {
-		t.Errorf("progress calls = %d, max done = %d", calls, last)
+	if first != 8 || calls != 5 || last != 12 {
+		t.Errorf("progress: first = %d, calls = %d, max done = %d; want 8, 5, 12", first, calls, last)
 	}
 }
 
@@ -90,7 +103,7 @@ func TestScaleProgressHookIsPerCall(t *testing.T) {
 func TestForEachCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var started atomic.Int64
-	err := forEach(ctx, 2, 0, 1000, nil, 1000, func(i int) {
+	err := forEach(ctx, 2, 1000, func(i int) {
 		if started.Add(1) == 2 {
 			cancel()
 		}
@@ -114,7 +127,7 @@ func TestForEachCompletedSweepSurvivesLateCancel(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		const n = 8
 		var completed atomic.Int64
-		err := forEach(ctx, workers, 0, n, nil, n, func(i int) {
+		err := forEach(ctx, workers, n, func(i int) {
 			if completed.Add(1) == n {
 				cancel() // the last point cancels before returning
 			}
@@ -153,18 +166,11 @@ func TestCancelledSweepReturnsPartialReport(t *testing.T) {
 }
 
 func TestExecutePreservesPointOrder(t *testing.T) {
-	var pts []point
-	for i := 0; i < 50; i++ {
-		pts = append(pts, point{
-			seed: uint64(i),
-			run: func(seed uint64) []Measurement {
-				return []Measurement{{L: int(seed)}, {L: int(seed), R: 1}}
-			},
-		})
-	}
-	out, err := execute(Scale{Workers: 8}, pts)
+	out, err := gather(Scale{Workers: 8}, 50, func(i int) []Measurement {
+		return []Measurement{{L: i}, {L: i, R: 1}}
+	})
 	if err != nil {
-		t.Fatalf("execute: %v", err)
+		t.Fatalf("gather: %v", err)
 	}
 	if len(out) != 100 {
 		t.Fatalf("measurements = %d", len(out))

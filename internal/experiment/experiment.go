@@ -14,7 +14,6 @@ import (
 
 	"regreloc/internal/node"
 	"regreloc/internal/pointstore"
-	"regreloc/internal/rng"
 	"regreloc/internal/workload"
 )
 
@@ -47,13 +46,13 @@ type Scale struct {
 	// already stored are decoded instead of simulated, cells being
 	// computed by a concurrent run are joined, and newly simulated
 	// cells are stored for the next overlapping sweep. Reports stay
-	// byte-identical to a store-less run; see execute. Fields that
+	// byte-identical to a store-less run; see Plan. Fields that
 	// shape results (Threads, WorkRuns, MinWork) are part of each
 	// point's key, execution-only fields (Workers, Progress, context)
 	// are not.
 	PointStore *pointstore.Store
 	// Remote, if non-nil, is offered the cells a sweep still needs
-	// after the point-store pre-pass (see executeSweep). Cells the
+	// after the point store has answered (see Plan.resolve). Cells the
 	// remote tier delivers are matched by content address and verified
 	// by decoding; anything missing or undecodable is simulated
 	// locally, so Remote accelerates sweeps without ever owning their
@@ -232,17 +231,21 @@ type Experiment struct {
 	RunGrid func(seed uint64, scale Scale, g Grids) *Report
 	// PointKeys, when non-nil, returns the content address of every
 	// point the corresponding RunGrid call would simulate, in cell
-	// order, without running anything (see sweepKeys). Planners use it
-	// to partition a request into cached and to-compute points before
-	// committing resources.
+	// order, without running anything. Benchmarks and tests use it to
+	// count store coverage; serving plans with Plan instead, which
+	// keeps the keys and the probed bytes for assembly.
 	PointKeys func(seed uint64, scale Scale, g Grids) []string
 	// ComputeCells, when non-nil, computes an explicit list of cells
 	// (any subset of any grid) and returns their encoded measurements
-	// keyed by content address (see sweepCells). Cluster workers use
-	// it to serve shard-scoped compute requests; cells resolve through
-	// the scale's point store exactly like a full sweep, so worker
-	// caches stay effective across overlapping jobs.
+	// keyed by content address. Cluster workers use it to serve
+	// shard-scoped compute requests; cells resolve through the scale's
+	// point store exactly like a full sweep, so worker caches stay
+	// effective across overlapping jobs.
 	ComputeCells func(seed uint64, scale Scale, cells []Cell) ([]CellResult, error)
+	// Plan, when non-nil, enumerates the cells RunGrid would resolve
+	// without resolving any (see Plan). A server probes the plan when
+	// it admits a request and runs the same plan later.
+	Plan func(seed uint64, scale Scale, g Grids) *Plan
 }
 
 var registry = map[string]Experiment{}
@@ -280,8 +283,8 @@ func IDs() []string {
 	return append([]string(nil), registryOrder...)
 }
 
-// sweep runs a fixed-vs-flexible comparison over the full (F, R, L)
-// grid for the given workload builder and architectures.
+// archSpec names one architecture of a grid sweep and builds its node
+// configuration for a register file size.
 type archSpec struct {
 	name string
 	cfg  func(fileSize int) node.Config
@@ -290,65 +293,14 @@ type archSpec struct {
 // specFn builds the workload for one (R, L) cell. It receives the
 // scale so population size can enter the spec; it must be a pure
 // function of its arguments, because the same builder serves both
-// whole-grid sweeps (sweepInto) and shard-scoped cell lists
-// (sweepCells) — possibly in different processes, whose results must
-// be byte-identical.
+// whole-grid sweeps and shard-scoped cell lists (ComputeCells) —
+// possibly in different processes, whose results must be
+// byte-identical.
 type specFn func(scale Scale, rl, l int, work int64) workload.Spec
 
 // panelName is the single source of truth for a cell's panel label, so
 // grid sweeps and remote cell computation agree byte-for-byte.
 func panelName(f int) string { return fmt.Sprintf("F=%d", f) }
-
-// cellPoint builds the schedulable point for one (F, R, L, arch) cell.
-// All per-point derivation lives here — the RNG seed (from the cell
-// coordinates and the arch's index in the experiment's registered
-// list), the content address, and the run closure — so every code path
-// that computes a cell (whole-grid sweep, remote cell list) produces
-// identical bytes.
-func cellPoint(experimentID string, seed uint64, scale Scale, f, r, l, ai int, a archSpec, mkSpec specFn) point {
-	spec := mkSpec(scale, r, l, scale.workPer(r))
-	be := backendFor(scale.fidelity())
-	return point{
-		seed: rng.DeriveSeed(seed, uint64(f), uint64(r), uint64(l), uint64(ai)),
-		key:  pointKey(experimentID, seed, scale, f, r, l, a.name),
-		cell: Cell{F: f, R: r, L: l, Arch: a.name},
-		run: func(pointSeed uint64) []Measurement {
-			return be.Measure(a, f, r, l, spec, pointSeed)
-		},
-	}
-}
-
-// sweep builds the panel-major (F, R, L, arch) point list and hands it
-// to the engine. Every cell simulates under its own RNG stream,
-// derived from the experiment seed and the cell's coordinates, so
-// cells are statistically independent (no replayed streams across the
-// grid) and execution order cannot affect the Report. experimentID
-// scopes each cell's content address (pointKey) for memoization; the
-// keys are computed here, in one place, so sweepKeys can enumerate
-// them identically without building the points.
-func sweep(experimentID string, seed uint64, scale Scale, fs, rs, ls []int,
-	mkSpec specFn, archs []archSpec) ([]Measurement, error) {
-
-	var pts []point
-	for _, f := range fs {
-		for _, r := range rs {
-			for _, l := range ls {
-				for ai, a := range archs {
-					pts = append(pts, cellPoint(experimentID, seed, scale, f, r, l, ai, a, mkSpec))
-				}
-			}
-		}
-	}
-	return executeSweep(sweepMeta{experiment: experimentID, seed: seed}, scale, pts)
-}
-
-// sweepInto runs sweep and records the result on the report, keeping
-// the partial points and the interruption error together. The report's
-// ID scopes the point keys.
-func sweepInto(r *Report, seed uint64, scale Scale, fs, rs, ls []int,
-	mkSpec specFn, archs []archSpec) {
-	r.Points, r.Err = sweep(r.ID, seed, scale, fs, rs, ls, mkSpec, archs)
-}
 
 // Curves groups a panel's measurements into (arch, R) curves sorted by
 // L, for plotting.

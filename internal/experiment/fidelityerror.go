@@ -3,8 +3,6 @@ package experiment
 import (
 	"fmt"
 	"sort"
-
-	"regreloc/internal/policy"
 )
 
 // AnalyticCalibratedMaxAbs is the calibrated upper bound on the
@@ -18,11 +16,10 @@ import (
 const AnalyticCalibratedMaxAbs = 0.25
 
 func init() {
-	// Same archs, grids, and workload as figure5 — and, deliberately,
-	// the same experiment ID in the point keys: the sim cells here are
-	// the cells a figure5 sweep computes, so calibration rides (and
-	// warms) the same cache entries at each tier.
-	archs := []archSpec{fixedArch(6, policy.Never{}), flexArch(6, policy.Never{})}
+	// The figure5 sweep itself — and so, deliberately, its experiment
+	// ID in the point keys: the sim cells here are the cells a figure5
+	// sweep computes, so calibration rides (and warms) the same cache
+	// entries at each tier.
 	register(Experiment{
 		ID:    "fidelity-error",
 		Title: "Analytic-tier error vs the simulator (calibration)",
@@ -31,7 +28,6 @@ func init() {
 			"each cell's absolute efficiency delta. The summary maximum calibrates " +
 			"the error bound adaptive serving attaches to analytic answers.",
 		RunGrid: func(seed uint64, scale Scale, g Grids) *Report {
-			g = g.or(fileSizes, cacheRs, cacheLs)
 			r := &Report{
 				ID:    "fidelity-error",
 				Title: "Analytic-tier error vs the simulator (calibration)",
@@ -41,18 +37,19 @@ func init() {
 			}
 			simScale := scale
 			simScale.Fidelity = FidelitySim
-			simPts, err := sweep("figure5", seed, simScale, g.F, g.R, g.L, cacheFaultSpec, archs)
-			if err != nil {
-				r.Err = err
+			sim := figure5Sweep.plan(seed, simScale, g).Run(simScale)
+			if sim.Err != nil {
+				r.Err = sim.Err
 				return r
 			}
 			anaScale := scale
 			anaScale.Fidelity = FidelityAnalytic
-			anaPts, err := sweep("figure5", seed, anaScale, g.F, g.R, g.L, cacheFaultSpec, archs)
-			if err != nil {
-				r.Err = err
+			ana := figure5Sweep.plan(seed, anaScale, g).Run(anaScale)
+			if ana.Err != nil {
+				r.Err = ana.Err
 				return r
 			}
+			simPts, anaPts := sim.Points, ana.Points
 			// Both sweeps enumerate the grid in the same cell order.
 			var maxAbs, sumAbs float64
 			for i := range simPts {

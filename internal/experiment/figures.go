@@ -64,220 +64,171 @@ func combinedSpec(scale Scale, rl, l int, work int64) workload.Spec {
 	return workload.Combined(32, 64, rl, l, workload.PaperCtxSize(), scale.Threads, work)
 }
 
-func init() {
-	figure5Archs := []archSpec{fixedArch(6, policy.Never{}), flexArch(6, policy.Never{})}
-	register(Experiment{
-		ID:    "figure5",
-		Title: "Figure 5: Tolerating Cache Faults",
-		Description: "Efficiency vs constant memory latency L for F = 64/128/256 " +
+var (
+	figure5Archs = []archSpec{fixedArch(6, policy.Never{}), flexArch(6, policy.Never{})}
+	figure6Archs = []archSpec{fixedArch(8, policy.TwoPhase{}), flexArch(8, policy.TwoPhase{})}
+
+	// figure5Sweep is also the fidelity-error experiment's grid.
+	figure5Sweep = &gridSweep{
+		id:    "figure5",
+		title: "Figure 5: Tolerating Cache Faults",
+		description: "Efficiency vs constant memory latency L for F = 64/128/256 " +
 			"registers, geometric run lengths R = 8/32/128, C ~ U[6,24], S = 6, " +
 			"contexts never unloaded.",
-		RunGrid: func(seed uint64, scale Scale, g Grids) *Report {
-			g = g.or(fileSizes, cacheRs, cacheLs)
-			r := &Report{
-				ID:    "figure5",
-				Title: "Figure 5: Tolerating Cache Faults",
-				Notes: []string{
-					"Paper: register relocation consistently outperforms fixed-size",
-					"contexts, with higher efficiency over a wide range of L and R.",
-				},
-			}
-			sweepInto(r, seed, scale, g.F, g.R, g.L, cacheFaultSpec, figure5Archs)
-			return r
+		notes: []string{
+			"Paper: register relocation consistently outperforms fixed-size",
+			"contexts, with higher efficiency over a wide range of L and R.",
 		},
-		PointKeys:    sweepKeys("figure5", fileSizes, cacheRs, cacheLs, figure5Archs),
-		ComputeCells: sweepCells("figure5", figure5Archs, cacheFaultSpec),
-	})
+		f: fileSizes, r: cacheRs, l: cacheLs,
+		archs: figure5Archs,
+		spec:  cacheFaultSpec,
+	}
+)
 
-	figure6Archs := []archSpec{fixedArch(8, policy.TwoPhase{}), flexArch(8, policy.TwoPhase{})}
-	register(Experiment{
-		ID:    "figure6",
-		Title: "Figure 6: Tolerating Synchronization Faults",
-		Description: "Efficiency vs exponential synchronization latency L for " +
+// homogeneousSweep declares the Section 3.4 cache-fault grid with every
+// thread needing exactly c registers.
+func homogeneousSweep(c int) *gridSweep {
+	return &gridSweep{
+		id:    fmt.Sprintf("homogeneous-c%d", c),
+		title: fmt.Sprintf("Section 3.4: homogeneous context size C=%d", c),
+		description: fmt.Sprintf("Cache-fault experiments with every thread "+
+			"requiring exactly %d registers; smaller homogeneous contexts give "+
+			"register relocation substantially larger relative gains.", c),
+		notes: []string{
+			"Paper: results were similar to Figures 5 and 6, but the relative",
+			"improvements due to register relocation were often substantially",
+			"larger.",
+		},
+		f: fileSizes, r: cacheRs, l: cacheLs,
+		archs: figure5Archs,
+		spec: func(scale Scale, rl, l int, work int64) workload.Spec {
+			return workload.CacheFaults(rl, l, rng.Constant{Value: c}, scale.Threads, work)
+		},
+	}
+}
+
+func init() {
+	register(figure5Sweep.experiment())
+
+	register((&gridSweep{
+		id:    "figure6",
+		title: "Figure 6: Tolerating Synchronization Faults",
+		description: "Efficiency vs exponential synchronization latency L for " +
 			"F = 64/128/256, R = 32/128/512, C ~ U[6,24], S = 8, competitive " +
 			"two-phase unloading.",
-		RunGrid: func(seed uint64, scale Scale, g Grids) *Report {
-			g = g.or(fileSizes, syncRs, syncLs)
-			r := &Report{
-				ID:    "figure6",
-				Title: "Figure 6: Tolerating Synchronization Faults",
-				Notes: []string{
-					"Paper: register relocation improves utilization for virtually all",
-					"parameters; the only notable exception is F=64 (panel a) at large",
-					"L, where allocation overhead under load/unload churn lets fixed",
-					"contexts win marginally.",
-				},
-			}
-			sweepInto(r, seed, scale, g.F, g.R, g.L, syncFaultSpec, figure6Archs)
-			return r
+		notes: []string{
+			"Paper: register relocation improves utilization for virtually all",
+			"parameters; the only notable exception is F=64 (panel a) at large",
+			"L, where allocation overhead under load/unload churn lets fixed",
+			"contexts win marginally.",
 		},
-		PointKeys:    sweepKeys("figure6", fileSizes, syncRs, syncLs, figure6Archs),
-		ComputeCells: sweepCells("figure6", figure6Archs, syncFaultSpec),
-	})
+		f: fileSizes, r: syncRs, l: syncLs,
+		archs: figure6Archs,
+		spec:  syncFaultSpec,
+	}).experiment())
 
-	cheapAllocArchs := []archSpec{
-		fixedArch(8, policy.TwoPhase{}),
-		flexArch(8, policy.TwoPhase{}),
-		lookupArch(8, policy.TwoPhase{}),
-	}
-	register(Experiment{
-		ID:    "figure6a-cheap",
-		Title: "Section 3.3: Figure 6(a) rerun with cheap allocation",
-		Description: "F = 64 synchronization experiments with the specialized " +
+	register((&gridSweep{
+		id:    "figure6a-cheap",
+		title: "Section 3.3: Figure 6(a) rerun with cheap allocation",
+		description: "F = 64 synchronization experiments with the specialized " +
 			"lookup-table allocator (two context sizes, direct table lookup), " +
 			"verifying that lower allocation costs restore register relocation's " +
 			"advantage in the churn regime.",
-		RunGrid: func(seed uint64, scale Scale, g Grids) *Report {
-			g = g.or([]int{64}, syncRs, syncLs)
-			r := &Report{
-				ID:    "figure6a-cheap",
-				Title: "Section 3.3: Figure 6(a) rerun with cheap allocation",
-				Notes: []string{
-					"Paper: re-executing the Figure 6(a) experiments with lower",
-					"allocation costs made register relocation consistently outperform",
-					"fixed-size contexts.",
-				},
-			}
-			sweepInto(r, seed, scale, g.F, g.R, g.L, syncFaultSpec, cheapAllocArchs)
-			return r
+		notes: []string{
+			"Paper: re-executing the Figure 6(a) experiments with lower",
+			"allocation costs made register relocation consistently outperform",
+			"fixed-size contexts.",
 		},
-		PointKeys:    sweepKeys("figure6a-cheap", []int{64}, syncRs, syncLs, cheapAllocArchs),
-		ComputeCells: sweepCells("figure6a-cheap", cheapAllocArchs, syncFaultSpec),
-	})
+		f: []int{64}, r: syncRs, l: syncLs,
+		archs: []archSpec{
+			fixedArch(8, policy.TwoPhase{}),
+			flexArch(8, policy.TwoPhase{}),
+			lookupArch(8, policy.TwoPhase{}),
+		},
+		spec: syncFaultSpec,
+	}).experiment())
 
-	registerHomogeneous := func(c int) {
-		id := fmt.Sprintf("homogeneous-c%d", c)
-		title := fmt.Sprintf("Section 3.4: homogeneous context size C=%d", c)
-		homogSpec := func(scale Scale, rl, l int, work int64) workload.Spec {
-			return workload.CacheFaults(rl, l, rng.Constant{Value: c}, scale.Threads, work)
-		}
-		register(Experiment{
-			ID:    id,
-			Title: title,
-			Description: fmt.Sprintf("Cache-fault experiments with every thread "+
-				"requiring exactly %d registers; smaller homogeneous contexts give "+
-				"register relocation substantially larger relative gains.", c),
-			RunGrid: func(seed uint64, scale Scale, g Grids) *Report {
-				g = g.or(fileSizes, cacheRs, cacheLs)
-				r := &Report{
-					ID:    id,
-					Title: title,
-					Notes: []string{
-						"Paper: results were similar to Figures 5 and 6, but the relative",
-						"improvements due to register relocation were often substantially",
-						"larger.",
-					},
-				}
-				sweepInto(r, seed, scale, g.F, g.R, g.L, homogSpec, figure5Archs)
-				return r
-			},
-			PointKeys:    sweepKeys(id, fileSizes, cacheRs, cacheLs, figure5Archs),
-			ComputeCells: sweepCells(id, figure5Archs, homogSpec),
-		})
-	}
-	registerHomogeneous(8)
-	registerHomogeneous(16)
+	register(homogeneousSweep(8).experiment())
+	register(homogeneousSweep(16).experiment())
 
-	register(Experiment{
-		ID:    "mixed-granularity",
-		Title: "Section 2: mixed coarse- and fine-grained threads",
-		Description: "Cache-fault experiments with a bimodal context-size " +
+	register((&gridSweep{
+		id:    "mixed-granularity",
+		title: "Section 2: mixed coarse- and fine-grained threads",
+		description: "Cache-fault experiments with a bimodal context-size " +
 			"population (80% fine-grained threads needing 6 registers, 20% " +
 			"coarse needing 24) — the paper's motivating case for dividing the " +
 			"register file 'into different combinations of context sizes, " +
 			"supporting a mix of both coarse and fine-grained threads'.",
-		RunGrid: func(seed uint64, scale Scale, g Grids) *Report {
-			g = g.or(fileSizes, cacheRs, cacheLs)
-			r := &Report{
-				ID:    "mixed-granularity",
-				Title: "Section 2: mixed coarse- and fine-grained threads",
-				Notes: []string{
-					"Fine threads fit 8-register contexts under register relocation",
-					"but burn a whole 32-register hardware context on the baseline.",
-				},
-			}
-			sweepInto(r, seed, scale, g.F, g.R, g.L, bimodalSpec, figure5Archs)
-			return r
+		notes: []string{
+			"Fine threads fit 8-register contexts under register relocation",
+			"but burn a whole 32-register hardware context on the baseline.",
 		},
-		PointKeys:    sweepKeys("mixed-granularity", fileSizes, cacheRs, cacheLs, figure5Archs),
-		ComputeCells: sweepCells("mixed-granularity", figure5Archs, bimodalSpec),
-	})
+		f: fileSizes, r: cacheRs, l: cacheLs,
+		archs: figure5Archs,
+		spec:  bimodalSpec,
+	}).experiment())
 
-	register(Experiment{
-		ID:    "combined",
-		Title: "Section 3: combined cache and synchronization faults",
-		Description: "Workloads with both fault types superposed (cache faults at " +
+	register((&gridSweep{
+		id:    "combined",
+		title: "Section 3: combined cache and synchronization faults",
+		description: "Workloads with both fault types superposed (cache faults at " +
 			"R=32, L=64 plus synchronization faults at the swept R and L); the " +
 			"paper reports similar results with a higher overall fault rate.",
-		RunGrid: func(seed uint64, scale Scale, g Grids) *Report {
-			g = g.or(fileSizes, syncRs, syncLs)
-			r := &Report{
-				ID:    "combined",
-				Title: "Section 3: combined cache and synchronization faults",
-				Notes: []string{
-					"Paper: experiments involving both fault types gave similar",
-					"results; the main effect was to increase the overall fault rate.",
-				},
-			}
-			sweepInto(r, seed, scale, g.F, g.R, g.L, combinedSpec, figure6Archs)
-			return r
+		notes: []string{
+			"Paper: experiments involving both fault types gave similar",
+			"results; the main effect was to increase the overall fault rate.",
 		},
-		PointKeys:    sweepKeys("combined", fileSizes, syncRs, syncLs, figure6Archs),
-		ComputeCells: sweepCells("combined", figure6Archs, combinedSpec),
-	})
+		f: fileSizes, r: syncRs, l: syncLs,
+		archs: figure6Archs,
+		spec:  combinedSpec,
+	}).experiment())
 
-	register(Experiment{
-		ID:    "ablation-policy",
-		Title: "Ablation: unloading policy",
-		Description: "Register relocation at F=128 under never/two-phase/always " +
+	register((&gridSweep{
+		id:    "ablation-policy",
+		title: "Ablation: unloading policy",
+		description: "Register relocation at F=128 under never/two-phase/always " +
 			"unloading across synchronization latencies.",
-		Run: func(seed uint64, scale Scale) *Report {
-			r := &Report{ID: "ablation-policy", Title: "Ablation: unloading policy"}
-			archs := []archSpec{
-				{"flex-never", func(f int) node.Config { return node.FlexibleConfig(f, policy.Never{}, 8) }},
-				{"flex-two-phase", func(f int) node.Config { return node.FlexibleConfig(f, policy.TwoPhase{}, 8) }},
-				{"flex-always", func(f int) node.Config { return node.FlexibleConfig(f, policy.Always{}, 8) }},
-			}
-			sweepInto(r, seed, scale, []int{128}, []int{32}, syncLs, syncFaultSpec, archs)
-			return r
+		f: []int{128}, r: []int{32}, l: syncLs,
+		archs: []archSpec{
+			{"flex-never", func(f int) node.Config { return node.FlexibleConfig(f, policy.Never{}, 8) }},
+			{"flex-two-phase", func(f int) node.Config { return node.FlexibleConfig(f, policy.TwoPhase{}, 8) }},
+			{"flex-always", func(f int) node.Config { return node.FlexibleConfig(f, policy.Always{}, 8) }},
 		},
-	})
+		spec: syncFaultSpec,
+	}).fixed())
 
-	register(Experiment{
-		ID:    "ablation-alloc",
-		Title: "Ablation: context allocator",
-		Description: "The Figure 6(a) churn regime (F=64, R=32) across allocators: " +
+	register((&gridSweep{
+		id:    "ablation-alloc",
+		title: "Ablation: context allocator",
+		description: "The Figure 6(a) churn regime (F=64, R=32) across allocators: " +
 			"general-purpose bitmap (25-cycle), FF1-assisted (15-cycle), buddy, " +
 			"lookup-table (4-cycle), and the zero-cost fixed baseline.",
-		Run: func(seed uint64, scale Scale) *Report {
-			r := &Report{ID: "ablation-alloc", Title: "Ablation: context allocator"}
-			archs := []archSpec{
-				fixedArch(8, policy.TwoPhase{}),
-				flexArch(8, policy.TwoPhase{}),
-				{"flexible-ff1", func(f int) node.Config {
-					return node.Config{
-						Name:        "flexible-ff1",
-						NewAlloc:    func() alloc.Allocator { return alloc.NewBitmap(f, 64, alloc.FF1Costs) },
-						Policy:      policy.TwoPhase{},
-						SwitchCost:  8,
-						QueueOpCost: 10,
-					}
-				}},
-				{"flexible-buddy", func(f int) node.Config {
-					return node.Config{
-						Name:        "flexible-buddy",
-						NewAlloc:    func() alloc.Allocator { return alloc.NewBuddy(f, 4, 64, alloc.FlexibleCosts) },
-						Policy:      policy.TwoPhase{},
-						SwitchCost:  8,
-						QueueOpCost: 10,
-					}
-				}},
-				lookupArch(8, policy.TwoPhase{}),
-			}
-			sweepInto(r, seed, scale, []int{64}, []int{32}, syncLs, syncFaultSpec, archs)
-			return r
+		f: []int{64}, r: []int{32}, l: syncLs,
+		archs: []archSpec{
+			fixedArch(8, policy.TwoPhase{}),
+			flexArch(8, policy.TwoPhase{}),
+			{"flexible-ff1", func(f int) node.Config {
+				return node.Config{
+					Name:        "flexible-ff1",
+					NewAlloc:    func() alloc.Allocator { return alloc.NewBitmap(f, 64, alloc.FF1Costs) },
+					Policy:      policy.TwoPhase{},
+					SwitchCost:  8,
+					QueueOpCost: 10,
+				}
+			}},
+			{"flexible-buddy", func(f int) node.Config {
+				return node.Config{
+					Name:        "flexible-buddy",
+					NewAlloc:    func() alloc.Allocator { return alloc.NewBuddy(f, 4, 64, alloc.FlexibleCosts) },
+					Policy:      policy.TwoPhase{},
+					SwitchCost:  8,
+					QueueOpCost: 10,
+				}
+			}},
+			lookupArch(8, policy.TwoPhase{}),
 		},
-	})
+		spec: syncFaultSpec,
+	}).fixed())
 
 	register(Experiment{
 		ID:    "analytic",
@@ -300,8 +251,8 @@ func init() {
 				},
 			}
 			params := analytic.NewParams(runLen, latency, s)
-			var pts []point
-			for n := 1; n <= 14; n++ {
+			r.Points, r.Err = gather(scale, 14, func(i int) []Measurement {
+				n := i + 1
 				spec := workload.Spec{
 					Name:    fmt.Sprintf("N=%d", n),
 					RunLen:  rng.Constant{Value: runLen},
@@ -310,18 +261,13 @@ func init() {
 					Work:    rng.Constant{Value: int(scale.workPer(runLen))},
 					Threads: n, // population == resident capacity usage
 				}
-				pts = append(pts, point{
-					seed: rng.DeriveSeed(seed, 128, uint64(runLen), uint64(n), 0),
-					run: func(pointSeed uint64) []Measurement {
-						res := node.Run(node.FlexibleConfig(128, policy.Never{}, s), spec, pointSeed)
-						return []Measurement{
-							{Panel: "N-sweep", Arch: "simulated", R: runLen, L: n, F: 128, Eff: res.Efficiency, Res: res},
-							{Panel: "N-sweep", Arch: "analytic", R: runLen, L: n, F: 128, Eff: params.Efficiency(float64(n))},
-						}
-					},
-				})
-			}
-			r.Points, r.Err = execute(scale, pts)
+				res := node.Run(node.FlexibleConfig(128, policy.Never{}, s), spec,
+					rng.DeriveSeed(seed, 128, uint64(runLen), uint64(n), 0))
+				return []Measurement{
+					{Panel: "N-sweep", Arch: "simulated", R: runLen, L: n, F: 128, Eff: res.Efficiency, Res: res},
+					{Panel: "N-sweep", Arch: "analytic", R: runLen, L: n, F: 128, Eff: params.Efficiency(float64(n))},
+				}
+			})
 			return r
 		},
 	})

@@ -13,10 +13,11 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the quick-scale golden reports under testdata/ instead of comparing against them")
 
-// goldenPath names the pinned quick-scale seed-1 CSV report of an
-// experiment.
-func goldenPath(id string) string {
-	return filepath.Join("testdata", id+"_quick_seed1.golden.csv")
+// goldenPath names the pinned quick-scale seed-1 CSV report of one
+// golden row: an experiment ID, suffixed with the fidelity tier for
+// rows that are not measured on the simulator.
+func goldenPath(name string) string {
+	return filepath.Join("testdata", name+"_quick_seed1.golden.csv")
 }
 
 // TestQuickGolden pins quick-scale seed-1 reports to exact bytes, one
@@ -33,6 +34,9 @@ func goldenPath(id string) string {
 //   - combined: a latency mixture.
 //   - scaling: the network co-simulation's fixed point (the event
 //     queue of network.Simulate).
+//   - figure5-machine: the Figure 5 grid on the instruction-level
+//     managed machine tier.
+//   - figure5-analytic: the Figure 5 grid on the closed-form tier.
 //
 // To regenerate after an INTENTIONAL behaviour change (new columns, a
 // model fix), run
@@ -44,30 +48,42 @@ func TestQuickGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick sweeps are a few seconds; skipped in -short")
 	}
-	for _, id := range []string{"figure5", "figure6", "combined", "scaling"} {
-		t.Run(id, func(t *testing.T) {
-			e, ok := experiment.Get(id)
+	for _, row := range []struct {
+		name, id string
+		fid      experiment.Fidelity
+	}{
+		{"figure5", "figure5", experiment.FidelitySim},
+		{"figure6", "figure6", experiment.FidelitySim},
+		{"combined", "combined", experiment.FidelitySim},
+		{"scaling", "scaling", experiment.FidelitySim},
+		{"figure5-machine", "figure5", experiment.FidelityMachine},
+		{"figure5-analytic", "figure5", experiment.FidelityAnalytic},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			e, ok := experiment.Get(row.id)
 			if !ok {
-				t.Fatalf("%s experiment not registered", id)
+				t.Fatalf("%s experiment not registered", row.id)
 			}
-			r := e.Run(1, experiment.Quick)
+			sc := experiment.Quick
+			sc.Fidelity = row.fid
+			r := e.Run(1, sc)
 			if r.Err != nil {
 				t.Fatal(r.Err)
 			}
 			got := []byte(experiment.CSV(r))
 			if *updateGolden {
-				if err := os.WriteFile(goldenPath(id), got, 0o644); err != nil {
+				if err := os.WriteFile(goldenPath(row.name), got, 0o644); err != nil {
 					t.Fatal(err)
 				}
 				return
 			}
-			want, err := os.ReadFile(goldenPath(id))
+			want, err := os.ReadFile(goldenPath(row.name))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
 				t.Fatalf("%s quick seed=1 report is not byte-identical to the golden file (got %d bytes, want %d); simulation results drifted",
-					id, len(got), len(want))
+					row.name, len(got), len(want))
 			}
 		})
 	}

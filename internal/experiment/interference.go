@@ -41,27 +41,22 @@ func init() {
 			shrink := study
 			shrink.ShrinkWithParallelism = true
 
-			var pts []point
-			for n := 1; n <= maxN; n++ {
-				pts = append(pts, point{
-					seed: rng.DeriveSeed(seed, uint64(n)),
-					run: func(pointSeed uint64) []Measurement {
-						// One derived sub-seed per (variant, panel) cell so the
-						// four curves sample independent streams.
-						return []Measurement{
-							{Panel: "miss-rate", Arch: "fixed-ws", R: 0, L: n,
-								Eff: study.MissRate(n, rng.DeriveSeed(pointSeed, 0))},
-							{Panel: "miss-rate", Arch: "shrinking-ws", R: 0, L: n,
-								Eff: shrink.MissRate(n, rng.DeriveSeed(pointSeed, 1))},
-							{Panel: "utilization", Arch: "fixed-ws", R: 0, L: n,
-								Eff: study.Utilization(n, latency, switchCost, rng.DeriveSeed(pointSeed, 2))},
-							{Panel: "utilization", Arch: "shrinking-ws", R: 0, L: n,
-								Eff: shrink.Utilization(n, latency, switchCost, rng.DeriveSeed(pointSeed, 3))},
-						}
-					},
-				})
-			}
-			r.Points, r.Err = execute(scale, pts)
+			r.Points, r.Err = gather(scale, maxN, func(i int) []Measurement {
+				n := i + 1
+				pointSeed := rng.DeriveSeed(seed, uint64(n))
+				// One derived sub-seed per (variant, panel) cell so the
+				// four curves sample independent streams.
+				return []Measurement{
+					{Panel: "miss-rate", Arch: "fixed-ws", R: 0, L: n,
+						Eff: study.MissRate(n, rng.DeriveSeed(pointSeed, 0))},
+					{Panel: "miss-rate", Arch: "shrinking-ws", R: 0, L: n,
+						Eff: shrink.MissRate(n, rng.DeriveSeed(pointSeed, 1))},
+					{Panel: "utilization", Arch: "fixed-ws", R: 0, L: n,
+						Eff: study.Utilization(n, latency, switchCost, rng.DeriveSeed(pointSeed, 2))},
+					{Panel: "utilization", Arch: "shrinking-ws", R: 0, L: n,
+						Eff: shrink.Utilization(n, latency, switchCost, rng.DeriveSeed(pointSeed, 3))},
+				}
+			})
 
 			// The adaptive controller is a sequential feedback loop (each
 			// observation decides the next setting), so it runs after the

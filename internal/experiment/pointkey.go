@@ -50,25 +50,3 @@ func pointKeyWith(engine string, fid Fidelity, experimentID string, seed uint64,
 		pointSchema, engine, fid, experimentID, seed, threads, work, f, r, l, arch)
 	return hex.EncodeToString(h.Sum(nil))
 }
-
-// sweepKeys builds a PointKeys planner for a grid sweep experiment:
-// it enumerates the content address of every point the corresponding
-// RunGrid would simulate, in the same cell order, without running
-// anything. The serve daemon's job planner uses it to count how much
-// of a request the point store already covers before queueing.
-func sweepKeys(experimentID string, defF, defR, defL []int, archs []archSpec) func(uint64, Scale, Grids) []string {
-	return func(seed uint64, scale Scale, g Grids) []string {
-		g = g.or(defF, defR, defL)
-		keys := make([]string, 0, len(g.F)*len(g.R)*len(g.L)*len(archs))
-		for _, f := range g.F {
-			for _, r := range g.R {
-				for _, l := range g.L {
-					for _, a := range archs {
-						keys = append(keys, pointKey(experimentID, seed, scale, f, r, l, a.name))
-					}
-				}
-			}
-		}
-		return keys
-	}
-}

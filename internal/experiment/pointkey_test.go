@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"reflect"
 	"testing"
 
 	"regreloc/internal/rng"
@@ -15,12 +16,16 @@ import (
 
 func TestPointKeyIgnoresGridShape(t *testing.T) {
 	scale := Quick
+	e, ok := Get("figure5")
+	if !ok || e.PointKeys == nil {
+		t.Fatal("figure5 has no PointKeys")
+	}
 	// The same (f, r, l, arch) cell reached through differently ordered
-	// and differently sized grids must produce one key. sweepKeys
+	// and differently sized grids must produce one key. PointKeys
 	// enumerates whole grids; collect each cell's key per grid and
 	// compare the shared cell.
 	keysOf := func(g Grids) map[string]bool {
-		ks := sweepKeys("figure5", nil, nil, nil, []archSpec{{name: "fixed"}, {name: "flexible"}})(1, scale, g)
+		ks := e.PointKeys(1, scale, g)
 		set := make(map[string]bool, len(ks))
 		for _, k := range ks {
 			set[k] = true
@@ -42,6 +47,18 @@ func TestPointKeyIgnoresGridShape(t *testing.T) {
 		if !a[k] {
 			t.Fatal("sub-grid cell keyed differently than the same cell in the full grid")
 		}
+	}
+
+	// Within one grid the keys come in the report's row order:
+	// panel-major over F, then R, then L, then arch.
+	var want []string
+	for _, l := range []int{16, 32} {
+		for _, arch := range []string{"fixed", "flexible"} {
+			want = append(want, pointKey("figure5", 1, scale, 64, 8, l, arch))
+		}
+	}
+	if got := e.PointKeys(1, scale, Grids{F: []int{64}, R: []int{8}, L: []int{16, 32}}); !reflect.DeepEqual(got, want) {
+		t.Fatal("PointKeys does not enumerate cells in report row order")
 	}
 }
 
@@ -100,30 +117,29 @@ func TestPointKeyNeighbourSeedsDiffer(t *testing.T) {
 	}
 }
 
-// TestSweepKeysMatchSweepOrder pins the planner contract: the keys
-// sweepKeys enumerates are exactly the keys sweep attaches to its
-// points, in the same cell order — otherwise the serve planner would
-// count coverage against entries the engine never writes.
-func TestSweepKeysMatchSweepOrder(t *testing.T) {
-	e, ok := Get("figure5")
-	if !ok || e.PointKeys == nil {
-		t.Fatal("figure5 has no PointKeys planner")
-	}
-	g := Grids{F: []int{64}, R: []int{8}, L: []int{16, 32}}
-	planned := e.PointKeys(1, Quick, g)
-	archs := []string{"fixed", "flexible"}
-	var built []string
-	for _, l := range []int{16, 32} {
-		for _, a := range archs {
-			built = append(built, pointKey("figure5", 1, Quick, 64, 8, l, a))
-		}
-	}
-	if len(planned) != len(built) {
-		t.Fatalf("planned %d keys, built %d", len(planned), len(built))
-	}
-	for i := range planned {
-		if planned[i] != built[i] {
-			t.Fatalf("key %d: planner and sweep disagree", i)
+// TestPointKeyPinnedDigests pins the key preimage to committed digests,
+// one cell per fidelity tier, with the engine version held fixed. A
+// point store persisted by an earlier build stays addressable only
+// while these hold: any change to the preimage's layout, field order
+// or formatting must bump pointSchema (and these digests) on purpose.
+func TestPointKeyPinnedDigests(t *testing.T) {
+	for _, c := range []struct {
+		fid        Fidelity
+		experiment string
+		seed       uint64
+		threads    int
+		work       int64
+		f, r, l    int
+		arch       string
+		want       string
+	}{
+		{FidelitySim, "figure5", 1, 32, 2000, 64, 8, 16, "fixed", "802118e629defc89a07bc3b549443a1e41105ad1eccaec65b7176c4174314697"},
+		{FidelityMachine, "figure6", 7, 64, 51200, 128, 128, 1024, "flexible", "1157d96872907b48c8075face987987d27d8316e3181d834552b16facb57cd1e"},
+		{FidelityAnalytic, "figure6a-cheap", 3, 32, 12800, 64, 32, 256, "flexible-lookup", "8ef118ecbdb09a924281da5013c586ea60c6f51581b00c286c7bc0501c472569"},
+	} {
+		got := pointKeyWith("pinned-engine", c.fid, c.experiment, c.seed, c.threads, c.work, c.f, c.r, c.l, c.arch)
+		if got != c.want {
+			t.Errorf("%s %s cell key = %s, want %s", c.fid, c.experiment, got, c.want)
 		}
 	}
 }

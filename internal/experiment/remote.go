@@ -48,8 +48,8 @@ type RemotePoint struct {
 // RemoteSweep is one sweep's worth of remote compute work: the
 // experiment and the scale fields that shape results (Fidelity,
 // Threads, WorkRuns, MinWork — exactly the fields that enter point
-// keys), plus the points still missing after the local cache
-// pre-pass. Fidelity must travel so a worker computes the requested
+// keys), plus the points still missing after the local point store
+// has answered. Fidelity must travel so a worker computes the requested
 // tier; a worker that ignored it would derive different point keys
 // and its results would be dropped as unknown.
 type RemoteSweep struct {

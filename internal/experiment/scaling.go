@@ -40,26 +40,22 @@ func init() {
 			if scale.Threads <= Quick.Threads {
 				horizon = 12_000
 			}
-			var pts []point
-			for _, p := range []int{16, 32, 64, 128, 256, 512} {
+			procs := []int{16, 32, 64, 128, 256, 512}
+			archs := []struct {
+				name string
+				n    float64
+			}{{"fixed", fixedN}, {"flexible", flexN}}
+			r.Points, r.Err = gather(scale, len(procs)*len(archs), func(i int) []Measurement {
+				p, ai := procs[i/len(archs)], i%len(archs)
+				arch := archs[ai]
 				cfg := network.Config{Processors: p, HopLatency: 8, ServiceTime: 12}
-				for ai, arch := range []struct {
-					name string
-					n    float64
-				}{{"fixed", fixedN}, {"flexible", flexN}} {
-					pts = append(pts, point{
-						seed: rng.DeriveSeed(seed, 128, runLen, uint64(p), uint64(ai)),
-						run: func(pointSeed uint64) []Measurement {
-							res := network.FixedPoint(cfg, runLen, switchCost, arch.n, horizon, pointSeed)
-							return []Measurement{
-								{Panel: "P-sweep", Arch: arch.name, R: runLen, L: p, F: 128, Eff: res.Efficiency},
-								{Panel: "latency", Arch: arch.name, R: runLen, L: p, F: 128, Eff: res.Latency},
-							}
-						},
-					})
+				res := network.FixedPoint(cfg, runLen, switchCost, arch.n, horizon,
+					rng.DeriveSeed(seed, 128, runLen, uint64(p), uint64(ai)))
+				return []Measurement{
+					{Panel: "P-sweep", Arch: arch.name, R: runLen, L: p, F: 128, Eff: res.Efficiency},
+					{Panel: "latency", Arch: arch.name, R: runLen, L: p, F: 128, Eff: res.Latency},
 				}
-			}
-			r.Points, r.Err = execute(scale, pts)
+			})
 			return r
 		},
 	})

@@ -8,7 +8,6 @@ import (
 	"regreloc/internal/analysis"
 	"regreloc/internal/analytic"
 	"regreloc/internal/asm"
-	"regreloc/internal/check"
 	"regreloc/internal/rng"
 )
 
@@ -44,7 +43,7 @@ func init() {
 		Title: "Section 2.4: declared vs analyzer-inferred context sizing",
 		Description: "Closes the paper's software-sizing loop: context sizes " +
 			"come either from a conservative flat-scan declaration " +
-			"(check.MaxRegister over every word) or from the interprocedural " +
+			"(analysis.MaxRegister over every word) or from the interprocedural " +
 			"analyzer's InferredRequirement, both rounded to the power-of-two " +
 			"contexts the allocator needs. The resident panel counts how many " +
 			"of the thread population fit a register file of F registers at " +
@@ -82,7 +81,7 @@ func init() {
 					Passes:          analysis.PassBounds,
 					Interprocedural: true,
 				})
-				d := check.MaxRegister(p, 0, 0)
+				d := analysis.MaxRegister(p, 0, 0)
 				inf := res.InferredRequirement()
 				if inf > d {
 					r.Err = fmt.Errorf("sizing program %d: inferred %d exceeds flat %d", i, inf, d)

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -55,6 +56,40 @@ func TestFidelityValidation(t *testing.T) {
 	if err == nil {
 		t.Error("New accepted an unknown DefaultFidelity")
 		s.Shutdown(context.Background())
+	}
+}
+
+// TestAdaptiveRepeatSkipsAnalyticPhase: the report is looked up before
+// the analytic phase, so resubmitting a finished adaptive request is a
+// plain report hit — one store hit, no analytic cells resolved, nothing
+// simulated.
+func TestAdaptiveRepeatSkipsAnalyticPhase(t *testing.T) {
+	s, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	defer s.Shutdown(context.Background())
+
+	j, _, err := s.Submit(adaptiveRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j)
+	before := s.PointCounters()
+	j2, status, err := s.Submit(adaptiveRequest())
+	if err != nil || status != http.StatusOK {
+		t.Fatalf("repeat: status=%d err=%v, want 200", status, err)
+	}
+	if st := j2.Status(false); !st.Cached || st.Partial != nil {
+		t.Errorf("repeat: cached=%v partial=%d bytes, want a cached job with no partial", st.Cached, len(st.Partial))
+	}
+	after := s.PointCounters()
+	if got := after.Hits - before.Hits; got != 1 {
+		t.Errorf("repeat: %d store hits, want 1 (the report lookup)", got)
+	}
+	if after.Misses != before.Misses {
+		t.Errorf("repeat: %d new misses, want 0", after.Misses-before.Misses)
 	}
 }
 

@@ -11,95 +11,10 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"regreloc/internal/experiment"
 )
 
-// These tests pin the five latent bugs fixed in the serving-hardening
-// PR; each fails against the pre-fix code.
-
-// TestInlineAssemblyRecheckRequeuesOnEviction covers the unbounded
-// inline-assembly bug: a request planned as fully point-covered could
-// lose its entries to eviction between planning and assembly, and the
-// engine's decode-miss fallback would then simulate the whole grid on
-// the submitter's (HTTP handler's) goroutine — bypassing the queue,
-// the worker pool, and the job timeout. The fix re-checks coverage at
-// assembly time and requeues past a small miss budget.
-func TestInlineAssemblyRecheckRequeuesOnEviction(t *testing.T) {
-	cfg := testConfig()
-	cfg.PointCacheBytes = 1 << 20
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Start()
-	defer s.Shutdown(context.Background())
-
-	// First run populates the point store.
-	j1, status, err := s.Submit(multiCellRequest())
-	if err != nil || status != http.StatusCreated {
-		t.Fatalf("cold submit: status=%d err=%v", status, err)
-	}
-	waitDone(t, j1)
-
-	// Control: with the store intact a reordering of the warm grid — a
-	// new report key over stored cells — assembles inline (200).
-	control := multiCellRequest()
-	control.F = []int{64, 32}
-	j2, status, err := s.Submit(control)
-	if err != nil || status != http.StatusOK {
-		t.Fatalf("covered reordering: status=%d err=%v", status, err)
-	}
-	if j2.Status(false).Cached {
-		t.Fatal("covered reordering answered from a stored report, not assembled")
-	}
-	waitDone(t, j2)
-
-	// Now race an eviction into the plan→assembly window: the hook runs
-	// after admission (plan said fully covered) and floods the memory-only
-	// store until every real entry is evicted — and therefore lost.
-	junk := bytes.Repeat([]byte("x"), 64<<10)
-	s.postAdmitHook = func(j *Job) {
-		for i := 0; i < 64; i++ {
-			s.points.Put(fmt.Sprintf("junk%d", i), junk)
-		}
-	}
-	defer func() { s.postAdmitHook = nil }()
-
-	requeued := multiCellRequest()
-	requeued.R = []int{16, 8}
-	j3, status, err := s.Submit(requeued)
-	if err != nil {
-		t.Fatalf("post-eviction submit: %v", err)
-	}
-	// The re-check must send the job to the queue (201), not simulate
-	// the sweep inline and report 200.
-	if status != http.StatusCreated {
-		t.Fatalf("post-eviction submit: status=%d, want 201 (requeued)", status)
-	}
-	waitDone(t, j3)
-	if j3.StateNow() != StateDone {
-		t.Fatalf("requeued job state = %s", j3.StateNow())
-	}
-	if !bytes.Equal(j3.Result(), coldReport(t, requeued)) {
-		t.Error("requeued recompute differs from a cold run")
-	}
-}
-
-// coldReport runs req through the engine with no store: the bytes any
-// server must answer it with.
-func coldReport(t *testing.T, req Request) []byte {
-	t.Helper()
-	e, ok := experiment.Get(req.Experiment)
-	if !ok {
-		t.Fatalf("unknown experiment %q", req.Experiment)
-	}
-	data, err := encodeReport(e.RunGrid(req.Seed, req.scale(), req.grids()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
+// These tests pin latent serving bugs; each fails against the code
+// before its fix.
 
 // TestShutdownNeverStartedFinalizesQueued covers the hung-waiter bug:
 // Shutdown on a server whose Start was never called has no workers to
@@ -187,10 +102,12 @@ func TestShutdownIndexErrorReleasesStore(t *testing.T) {
 }
 
 // TestInlineAssemblyEvictionHammer races concurrent submissions (some
-// inline-assembled, some queued), cancellations, and a point-store
-// eviction storm around the plan→assembly window. Run under -race in
+// inline-assembled from their plans' bytes, some queued),
+// cancellations, and a point-store eviction storm. Run under -race in
 // CI; any double-finalize, double-release of a tenant slot, or lost
-// Done close shows up here.
+// Done close shows up here. That a held plan survives the eviction of
+// every entry it probed is pinned at the engine level
+// (experiment.TestHeldPlanSurvivesEviction).
 func TestInlineAssemblyEvictionHammer(t *testing.T) {
 	cfg := testConfig()
 	cfg.PointCacheBytes = 1 << 18
@@ -205,7 +122,7 @@ func TestInlineAssemblyEvictionHammer(t *testing.T) {
 
 	// Warm one grid; the hammer submits its reorderings, which are new
 	// report keys over stored cells and so reach the inline path unless
-	// the storm evicted their cells first.
+	// the storm evicted their cells before the probe.
 	orders := [][]int{{32, 64, 128}, {32, 128, 64}, {64, 32, 128}, {64, 128, 32}, {128, 32, 64}, {128, 64, 32}}
 	warm := tinyRequest()
 	warm.F = orders[0]

@@ -163,9 +163,10 @@ func (q Request) validate() error {
 	switch q.Fidelity {
 	case "", "sim":
 	case "machine", "analytic", "adaptive":
-		// Non-sim tiers flow through the grid sweep engine (cellPoint
-		// dispatches on Scale.Fidelity); heterogeneous experiments build
-		// their own closures and would silently ignore the tier.
+		// Non-sim tiers flow through the grid sweep engine (each cell is
+		// measured by the backend Scale.Fidelity names); heterogeneous
+		// experiments build their own closures and would silently ignore
+		// the tier.
 		if e.RunGrid == nil {
 			return fmt.Errorf("experiment %q is not a grid sweep; fidelity %q requires one", q.Experiment, q.Fidelity)
 		}
@@ -242,10 +243,14 @@ type Job struct {
 	Created time.Time
 	// planPoints/planCached are the submission-time point-store plan:
 	// how many sweep points the request addresses and how many were
-	// already stored. Zero planPoints means the experiment has no
-	// point-key planner (or the store is disabled).
+	// already stored. Zero planPoints means the experiment has no plan
+	// (or the store is disabled).
 	planPoints int
 	planCached int
+	// plan is the probed sweep the job runs, holding the bytes the
+	// store had at submission. Only the job's runner touches it after
+	// admission, and releases it when the run starts (takePlan).
+	plan *experiment.Plan
 	// tenant is the admission bucket the job holds an in-flight slot
 	// in, fixed at submission.
 	tenant string
@@ -382,6 +387,15 @@ func (j *Job) finishRefinement() {
 	}
 	j.bounds = b
 	j.appendEventLocked(Event{Type: EventBounds, Bounds: b})
+}
+
+// takePlan hands the job's plan to its runner and drops the job's
+// reference, so a finished job retained for status queries does not
+// pin the bytes the plan held.
+func (j *Job) takePlan() *experiment.Plan {
+	p := j.plan
+	j.plan = nil
+	return p
 }
 
 // markEnqueued stamps the queue-entry time, for the queue-wait

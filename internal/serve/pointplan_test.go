@@ -258,3 +258,54 @@ func TestPointStorePersistsAcrossRestart(t *testing.T) {
 		t.Errorf("restarted daemon simulated %d points, want 0 (disk tier)", c.Misses)
 	}
 }
+
+// TestReportHitHashesNoPointKeys pins the report-first lookup: a
+// resubmitted request whose report is stored is answered without
+// planning its points — no key hashing, no store probe — so the cost
+// of the answer does not grow with the grid. The plan still counts
+// every cell (rrload's points/s reads it), all of them cached.
+func TestReportHitHashesNoPointKeys(t *testing.T) {
+	s, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	defer s.Shutdown(context.Background())
+
+	small := tinyRequest() // 2 cells
+	large := Request{Experiment: "figure5", Seed: 1, Scale: "quick", Fidelity: "analytic",
+		F: []int{64, 128, 256}, R: []int{8, 32, 128}, L: []int{16, 32, 64, 128}} // 72 cells
+	allocs := map[string]float64{}
+	for name, req := range map[string]Request{"small": small, "large": large} {
+		j, _, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, j)
+		hits := s.PointCounters().Hits
+		j, status, err := s.Submit(req)
+		if err != nil || status != http.StatusOK || !j.Status(false).Cached {
+			t.Fatalf("%s resubmit: status=%d err=%v, want 200 from the stored report", name, status, err)
+		}
+		if got := s.PointCounters().Hits - hits; got != 1 {
+			t.Errorf("%s resubmit: %d store hits, want 1 (the report)", name, got)
+		}
+		cells := 2
+		if name == "large" {
+			cells = 72
+		}
+		if st := j.Status(false); st.Plan == nil || st.Plan.Points != cells || st.Plan.Cached != cells {
+			t.Errorf("%s resubmit plan = %+v, want %d/%d", name, st.Plan, cells, cells)
+		}
+		allocs[name] = testing.AllocsPerRun(20, func() {
+			if _, _, err := s.Submit(req); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	t.Logf("report-hit allocations: %.0f (2 cells), %.0f (72 cells)", allocs["small"], allocs["large"])
+	if grow := allocs["large"] - allocs["small"]; grow >= 72-2 {
+		t.Errorf("report hit allocates %.0f (72 cells) vs %.0f (2 cells): %.1f per added cell, want < 1",
+			allocs["large"], allocs["small"], grow/70)
+	}
+}

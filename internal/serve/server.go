@@ -81,7 +81,7 @@ type Config struct {
 	// stderr logger).
 	Logger *log.Logger
 	// Remote, when non-nil, is handed the sweep cells a job still
-	// needs after the point-store pre-pass (experiment.Scale.Remote).
+	// needs after the point store has answered (experiment.Scale.Remote).
 	// A coordinator sets it to the cluster fan-out client; the local
 	// pool and the cluster are interchangeable behind this interface.
 	Remote experiment.PointComputer
@@ -157,11 +157,6 @@ type Server struct {
 	// completed points). Tests replace it to control timing; the
 	// default is (*Server).runExperiment.
 	runJob func(ctx context.Context, j *Job) ([]byte, int, error)
-
-	// postAdmitHook, when non-nil, runs between a job's admission for
-	// inline assembly and the coverage re-check. Tests use it to force
-	// the eviction race the re-check defends against.
-	postAdmitHook func(j *Job)
 }
 
 // New builds a Server (loading the result store's disk index, if
@@ -277,13 +272,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return errors.Join(errs...)
 }
 
-// maxInlineMisses bounds how many sweep cells an inline assembly may
-// simulate on the submitter's goroutine. The plan said every cell was
-// stored, but a memory-only store can evict (and lose) entries between
-// planning and assembly; past this budget the job falls back to the
-// queue instead of running an unbounded sweep on an HTTP handler.
-const maxInlineMisses = 2
-
 // Submit validates and enqueues a request, returning the job (which
 // may be an existing in-flight job the submission coalesced onto, or
 // an already-done cached job) plus the HTTP status describing what
@@ -307,18 +295,27 @@ func (s *Server) submit(req Request) (*Job, int, error) {
 	req = req.normalize()
 	key := req.Key()
 
-	// Plan the request against the point store before taking the
-	// server lock: computing a large grid's keys is pure hashing, and
-	// coverage only needs the store's own lock. For adaptive requests
-	// the plan covers the sim tier — the refinement the job will run —
-	// because req.scale() resolves adaptive to the simulator.
-	var keys []string
-	var planned, covered int
+	// Look the report up first: an exact repeat needs nothing else —
+	// no point keys, no store probe, no analytic phase. Only a miss
+	// plans the sweep and probes its points, once; the plan keeps the
+	// bytes it found, so the job assembles from them whenever it runs.
+	// Both reads happen before the server lock: a disk-tier hit reads
+	// and verifies files, which must not stall other submissions. For
+	// adaptive requests the plan covers the sim tier — the refinement
+	// the job will run — because req.scale() resolves adaptive to the
+	// simulator.
+	var (
+		stored []byte
+		found  bool
+		plan   *experiment.Plan
+	)
 	if s.points != nil {
-		if e, ok := experiment.Get(req.Experiment); ok && e.PointKeys != nil {
-			keys = e.PointKeys(req.Seed, req.scale(), req.grids())
-			planned = len(keys)
-			covered = s.points.Covered(keys)
+		stored, found = s.points.Get(key)
+		if e, ok := experiment.Get(req.Experiment); ok && e.Plan != nil {
+			plan = e.Plan(req.Seed, req.scale(), req.grids())
+			if !found {
+				plan.Probe(s.points)
+			}
 		}
 	}
 
@@ -327,7 +324,7 @@ func (s *Server) submit(req Request) (*Job, int, error) {
 	// microseconds per cell, so the client leaves with a complete
 	// approximate report no matter what the queue looks like.
 	var partial *partialResult
-	if req.adaptive() {
+	if req.adaptive() && !found {
 		p, err := s.analyticPhase(req)
 		if err != nil {
 			return nil, http.StatusInternalServerError, fmt.Errorf("analytic phase: %w", err)
@@ -335,73 +332,35 @@ func (s *Server) submit(req Request) (*Job, int, error) {
 		partial = p
 	}
 
-	j, status, inline, err := s.admit(req, key, planned, covered, partial)
+	j, status, inline, err := s.admit(req, key, stored, found, plan, partial)
 	if err == nil {
 		s.met.incFidelityJob(req.Fidelity)
 	}
-	if !inline {
-		return j, status, err
+	if inline {
+		// Every point was in the plan's hands at admission: assembly
+		// decodes bytes the job already holds, so it runs on the
+		// submitter's goroutine instead of taking a queue slot and a
+		// worker, and eviction since the probe cannot make it simulate.
+		s.runOne(j)
 	}
-	if h := s.postAdmitHook; h != nil {
-		h(j)
-	}
-	// Fully covered at planning time: every cell decodes from the point
-	// store, so the "sweep" is cheap assembly and can run on the
-	// submitter's goroutine instead of burning queue capacity and a
-	// worker slot. But coverage is a moment-in-time fact: entries
-	// evicted since planning are gone for good on a memory-only store,
-	// and the engine's decode-miss fallback would then simulate them
-	// right here — bypassing the queue, the worker pool, and the job
-	// timeout. Re-check at assembly time and requeue past a small miss
-	// budget.
-	if missing := len(keys) - s.points.Covered(keys); missing > maxInlineMisses {
-		s.log.Printf("job %s lost %d/%d planned cells to eviction, queueing instead of inline assembly",
-			j.ID, missing, len(keys))
-		if qerr := s.queue.enqueue(j); qerr != nil {
-			s.dropJob(j)
-			s.met.incRejected()
-			return nil, http.StatusTooManyRequests, qerr
-		}
-		j.markEnqueued()
-		return j, http.StatusCreated, nil
-	}
-	s.runOne(j)
-	return j, http.StatusOK, nil
-}
-
-// dropJob unregisters a job that was admitted but could not be run or
-// queued, releasing its tenant slot and context registration.
-func (s *Server) dropJob(j *Job) {
-	s.mu.Lock()
-	delete(s.jobs, j.ID)
-	for i, id := range s.order {
-		if id == j.ID {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
-	if s.inflight[j.Key] == j {
-		delete(s.inflight, j.Key)
-	}
-	s.mu.Unlock()
-	s.queue.release(j.tenant)
-	j.cancel()
+	return j, status, err
 }
 
 // admit is Submit's locked section. It returns inline=true when the
-// job was admitted for synchronous point-store assembly (registered
-// in-flight and holding a tenant slot, but not queued); the caller
-// must then run or requeue it.
-func (s *Server) admit(req Request, key string, planned, covered int, partial *partialResult) (j *Job, status int, inline bool, err error) {
+// job was admitted for synchronous assembly from its plan's bytes
+// (registered in-flight and holding a tenant slot, but not queued);
+// the caller must then run it. A job finishing between the report
+// lookup and here only costs this submission an assembly of the same
+// bytes.
+func (s *Server) admit(req Request, key string, stored []byte, found bool, plan *experiment.Plan, partial *partialResult) (j *Job, status int, inline bool, err error) {
 	tenant := req.tenantName()
-	// Look the report up before taking the server lock: a disk-tier hit
-	// reads and verifies a file, which must not stall every other
-	// submission. A job finishing between here and the lock only costs
-	// this submission an inline assembly of the same bytes.
-	var stored []byte
-	var found bool
-	if s.points != nil {
-		stored, found = s.points.Get(key)
+	var planned, covered int
+	if plan != nil {
+		planned = plan.Len()
+		covered = planned
+		if !found {
+			covered = plan.Cached()
+		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -425,9 +384,8 @@ func (s *Server) admit(req Request, key string, planned, covered int, partial *p
 	// terminal job so the client gets the uniform job interface.
 	s.met.observeReportLookup(found)
 	if found {
-		// The refined result already exists, so an adaptive partial
-		// would only be a worse answer to the same question: drop it.
-		j := s.newJobLocked(key, req, planned, covered, nil)
+		// The plan only counts the report's cells, all of them answered.
+		j := s.newJobLocked(key, req, planned, covered, nil, nil)
 		j.cached = true
 		j.state = StateDone
 		j.result = stored
@@ -450,17 +408,17 @@ func (s *Server) admit(req Request, key string, planned, covered int, partial *p
 	s.met.addPlan(int64(planned), int64(covered))
 
 	// Point-store fast path: the report is not stored (different grid
-	// order, or evicted) but every point the request addresses is.
-	// Hand the job back for inline assembly.
+	// order, or evicted) but the probe found every point the request
+	// addresses. Hand the job back for inline assembly.
 	if planned > 0 && covered == planned {
-		j := s.newJobLocked(key, req, planned, covered, partial)
+		j := s.newJobLocked(key, req, planned, covered, plan, partial)
 		s.inflight[key] = j
 		s.met.incSubmitted()
 		return j, http.StatusOK, true, nil
 	}
 
 	// Bounded, tenant-fair queue with backpressure.
-	j = s.newJobLocked(key, req, planned, covered, partial)
+	j = s.newJobLocked(key, req, planned, covered, plan, partial)
 	if qerr := s.queue.enqueue(j); qerr != nil {
 		delete(s.jobs, j.ID)
 		s.order = s.order[:len(s.order)-1]
@@ -476,10 +434,11 @@ func (s *Server) admit(req Request, key string, planned, covered int, partial *p
 }
 
 // newJobLocked allocates and registers a job. Caller holds s.mu. A
-// non-nil partial makes the job adaptive: the analytic answer attaches
-// before any other event, so EventPartial is always event 1 and every
-// subscriber knows a partial is fetchable before they see the job move.
-func (s *Server) newJobLocked(key string, req Request, planned, covered int, partial *partialResult) *Job {
+// non-nil plan is what the job runs. A non-nil partial makes the job
+// adaptive: the analytic answer attaches before any other event, so
+// EventPartial is always event 1 and every subscriber knows a partial
+// is fetchable before they see the job move.
+func (s *Server) newJobLocked(key string, req Request, planned, covered int, plan *experiment.Plan, partial *partialResult) *Job {
 	s.nextID++
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	j := &Job{
@@ -490,6 +449,7 @@ func (s *Server) newJobLocked(key string, req Request, planned, covered int, par
 		tenant:     req.tenantName(),
 		planPoints: planned,
 		planCached: covered,
+		plan:       plan,
 		ctx:        ctx,
 		cancel:     cancel,
 		done:       make(chan struct{}),
@@ -711,7 +671,9 @@ func (s *Server) runExperiment(ctx context.Context, j *Job) ([]byte, int, error)
 	sc = sc.WithContext(ctx)
 
 	var rep *experiment.Report
-	if g := j.Req.grids(); !g.Empty() && e.RunGrid != nil {
+	if plan := j.takePlan(); plan != nil {
+		rep = plan.Run(sc)
+	} else if g := j.Req.grids(); !g.Empty() && e.RunGrid != nil {
 		rep = e.RunGrid(j.Req.Seed, sc, g)
 	} else {
 		rep = e.Run(j.Req.Seed, sc)

@@ -343,7 +343,7 @@ func TestSetStateRefusesTerminalTransition(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
-	j := s.newJobLocked("k", tinyRequest(), 0, 0, nil)
+	j := s.newJobLocked("k", tinyRequest(), 0, 0, nil, nil)
 	s.mu.Unlock()
 	if !j.finalize(StateCanceled, nil, context.Canceled) {
 		t.Fatal("first finalize refused")

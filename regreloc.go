@@ -6,7 +6,6 @@ import (
 	"regreloc/internal/analytic"
 	"regreloc/internal/asm"
 	"regreloc/internal/cache"
-	"regreloc/internal/check"
 	"regreloc/internal/compiler"
 	"regreloc/internal/experiment"
 	"regreloc/internal/isa"
@@ -220,9 +219,9 @@ func RenderSummary(r *ExperimentReport) string { return experiment.Summary(r) }
 // Static checking and compiler support.
 type (
 	// CheckOptions configures the context-boundary checker.
-	CheckOptions = check.Options
+	CheckOptions = analysis.FlatOptions
 	// CheckViolation is one out-of-context register reference.
-	CheckViolation = check.Violation
+	CheckViolation = analysis.Violation
 	// CallGraph carries per-function register usage for requirement
 	// analysis.
 	CallGraph = compiler.CallGraph
@@ -234,7 +233,7 @@ type (
 // declared context (paper Section 2.4) using the flat flow-insensitive
 // scan; AnalyzeProgram is the flow-sensitive analyzer.
 func CheckProgram(p *Program, opts CheckOptions) []CheckViolation {
-	return check.Program(p, opts)
+	return analysis.Flat(p, opts)
 }
 
 // Flow-sensitive static analysis (Section 2.4, grown into a real
