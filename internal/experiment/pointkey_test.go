@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"reflect"
 	"testing"
 
 	"regreloc/internal/rng"
@@ -47,18 +46,6 @@ func TestPointKeyIgnoresGridShape(t *testing.T) {
 		if !a[k] {
 			t.Fatal("sub-grid cell keyed differently than the same cell in the full grid")
 		}
-	}
-
-	// Within one grid the keys come in the report's row order:
-	// panel-major over F, then R, then L, then arch.
-	var want []string
-	for _, l := range []int{16, 32} {
-		for _, arch := range []string{"fixed", "flexible"} {
-			want = append(want, pointKey("figure5", 1, scale, 64, 8, l, arch))
-		}
-	}
-	if got := e.PointKeys(1, scale, Grids{F: []int{64}, R: []int{8}, L: []int{16, 32}}); !reflect.DeepEqual(got, want) {
-		t.Fatal("PointKeys does not enumerate cells in report row order")
 	}
 }
 
@@ -114,6 +101,35 @@ func TestPointKeyNeighbourSeedsDiffer(t *testing.T) {
 			t.Errorf("cells %+v and %+v derive the same key", c, prev)
 		}
 		keys[k] = c
+	}
+}
+
+// TestSweepKeysMatchSweepOrder pins the planner contract: the keys
+// PointKeys enumerates are exactly the keys the engine attaches to its
+// points, in the report's row order (panel-major over F, then R, then
+// L, then arch) — otherwise the serve planner would count coverage
+// against entries the engine never writes.
+func TestSweepKeysMatchSweepOrder(t *testing.T) {
+	e, ok := Get("figure5")
+	if !ok || e.PointKeys == nil {
+		t.Fatal("figure5 has no PointKeys planner")
+	}
+	g := Grids{F: []int{64}, R: []int{8}, L: []int{16, 32}}
+	planned := e.PointKeys(1, Quick, g)
+	archs := []string{"fixed", "flexible"}
+	var built []string
+	for _, l := range []int{16, 32} {
+		for _, a := range archs {
+			built = append(built, pointKey("figure5", 1, Quick, 64, 8, l, a))
+		}
+	}
+	if len(planned) != len(built) {
+		t.Fatalf("planned %d keys, built %d", len(planned), len(built))
+	}
+	for i := range planned {
+		if planned[i] != built[i] {
+			t.Fatalf("key %d: planner and sweep disagree", i)
+		}
 	}
 }
 
