@@ -40,15 +40,18 @@ func (s Scale) acquire() {
 }
 
 // gather runs n independent local measurements on the scale's worker
-// pool, each paying the compute limit, and flattens them in index
-// order. Experiments whose measurements are not grid cells (nothing to
-// address or share) use it; a cancelled run returns the completed ones
-// with the context error.
+// pool, each paying the compute limit and landing on OnPoint, and
+// flattens them in index order. Experiments whose measurements are not
+// grid cells (nothing to address or share) use it; a cancelled run
+// returns the completed ones with the context error.
 func gather(scale Scale, n int, measure func(i int) []Measurement) ([]Measurement, error) {
 	parts := make([][]Measurement, n)
 	err := scale.forEach(n, func(i int) {
 		scale.acquire()
 		parts[i] = measure(i)
+		if scale.OnPoint != nil {
+			scale.OnPoint(parts[i])
+		}
 	})
 	return flatten(parts), err
 }

@@ -1,7 +1,9 @@
 package experiment
 
 import (
+	"context"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -497,14 +499,30 @@ func TestGranularityExperiment(t *testing.T) {
 	}
 }
 
+type countLimiter struct{ n atomic.Int64 }
+
+func (l *countLimiter) Acquire(context.Context) { l.n.Add(1) }
+
 func TestAllExperimentsRunEndToEnd(t *testing.T) {
 	// Completeness guard: every registered experiment runs at tiny
 	// scale, produces a renderable report, and round-trips through
-	// every output format without panicking.
+	// every output format without panicking. It also pins the OnPoint
+	// contract: without a store each local measurement pays
+	// ComputeLimit once and lands on OnPoint once, grid cell or not.
+	// Tracing subtracts one Acquire time from one OnPoint time per
+	// measurement, so an unmatched Acquire would skew it.
 	for _, e := range All() {
-		r := e.Run(2, tiny)
+		var lim countLimiter
+		var landed atomic.Int64
+		sc := tiny
+		sc.ComputeLimit = &lim
+		sc.OnPoint = func([]Measurement) { landed.Add(1) }
+		r := e.Run(2, sc)
 		if r.ID != e.ID {
 			t.Errorf("%s: report ID %q", e.ID, r.ID)
+		}
+		if a, o := lim.n.Load(), landed.Load(); a != o {
+			t.Errorf("%s: %d acquires, %d OnPoint calls", e.ID, a, o)
 		}
 		if len(r.Points) == 0 && len(r.Notes) == 0 {
 			t.Errorf("%s: empty report", e.ID)

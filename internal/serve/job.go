@@ -247,9 +247,10 @@ type Job struct {
 	// (or the store is disabled).
 	planPoints int
 	planCached int
-	// plan is the probed sweep the job runs, holding the bytes the
-	// store had at submission. Only the job's runner touches it after
-	// admission, and releases it when the run starts (takePlan).
+	// plan is the probed sweep an inline job assembles from, holding
+	// the bytes the store had at submission; queued jobs have none.
+	// Only the job's runner touches it after admission, and releases
+	// it when the run starts (takePlan).
 	plan *experiment.Plan
 	// tenant is the admission bucket the job holds an in-flight slot
 	// in, fixed at submission.

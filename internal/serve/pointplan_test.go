@@ -1,13 +1,17 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"regreloc/internal/experiment"
 )
 
 // overlapRequests returns two figure5 grid requests sharing the L=32
@@ -133,6 +137,117 @@ func TestFullyCoveredRequestAssemblesInline(t *testing.T) {
 	}
 	if st := j3.Status(false); st.Plan == nil || st.Plan.Points != 6 || st.Plan.Cached != 4 {
 		t.Errorf("grown plan = %+v, want 6 points / 4 cached", st.Plan)
+	}
+}
+
+// TestInlineAssemblyRunsHeldPlan pins that an inline job assembles
+// from the plan its submission probed, not from a fresh sweep. The
+// runner floods the memory-only store until every probed entry is gone
+// before it runs the job: a fresh sweep would simulate them all on the
+// submitting goroutine, the held plan simulates nothing. The bytes
+// match a storeless server's.
+func TestInlineAssemblyRunsHeldPlan(t *testing.T) {
+	cfg := testConfig()
+	cfg.PointCacheBytes = 1 << 18
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := Request{Experiment: "figure5", Seed: 1, Scale: "quick",
+		F: []int{64}, R: []int{8}, L: []int{16, 32}}
+	reordered := warm
+	reordered.L = []int{32, 16}
+	e, _ := experiment.Get("figure5")
+	keys := e.PointKeys(reordered.Seed, reordered.scale(), reordered.grids())
+	s.runJob = func(ctx context.Context, j *Job) ([]byte, int, error) {
+		if j.Key == reordered.Key() {
+			junk := bytes.Repeat([]byte("e"), 16<<10)
+			for i := 0; s.points.Covered(keys) > 0; i++ {
+				s.points.Put(fmt.Sprintf("flood%d", i), junk)
+			}
+		}
+		return s.runExperiment(ctx, j)
+	}
+	s.Start()
+	defer s.Shutdown(context.Background())
+
+	j, _, err := s.Submit(warm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j)
+	misses := s.PointCounters().Misses
+	j, status, err := s.Submit(reordered)
+	if err != nil || status != http.StatusOK || j.StateNow() != StateDone {
+		t.Fatalf("covered submit: status=%d err=%v state=%s, want 200 done", status, err, j.StateNow())
+	}
+	if got := s.PointCounters().Misses - misses; got != 0 {
+		t.Errorf("inline job simulated %d points after eviction, want 0", got)
+	}
+
+	cfg.PointCacheBytes = -1
+	cold, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold.Start()
+	defer cold.Shutdown(context.Background())
+	cj, _, err := cold.Submit(reordered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, cj)
+	if !bytes.Equal(j.Result(), cj.Result()) {
+		t.Error("held-plan assembly differs from a storeless run")
+	}
+}
+
+// TestQueuedSubmissionHoldsNoPlan pins what a submission keeps while
+// it waits. A partially covered job queues without the bytes its probe
+// found: its run probes again. A submission that rides an identical
+// in-flight job probes nothing, so the store counts no hits for it.
+func TestQueuedSubmissionHoldsNoPlan(t *testing.T) {
+	s, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	realRun := s.runJob
+	s.runJob = func(ctx context.Context, j *Job) ([]byte, int, error) {
+		if len(j.Req.L) > 1 {
+			<-gate
+		}
+		return realRun(ctx, j)
+	}
+	s.Start()
+	defer s.Shutdown(context.Background())
+
+	j, _, err := s.Submit(tinyRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j)
+	grown := tinyRequest()
+	grown.L = []int{16, 32}
+	j, status, err := s.Submit(grown)
+	if err != nil || status != http.StatusCreated {
+		t.Fatalf("grown submit: status=%d err=%v, want 201", status, err)
+	}
+	if j.plan != nil {
+		t.Error("queued job holds its probed plan")
+	}
+	hits := s.PointCounters().Hits
+	rider, status, err := s.Submit(grown)
+	if err != nil || status != http.StatusOK || rider != j {
+		t.Fatalf("repeat submit: status=%d err=%v, want 200 onto the in-flight job", status, err)
+	}
+	if got := s.PointCounters().Hits - hits; got != 0 {
+		t.Errorf("coalesced submission counted %d store hits, want 0", got)
+	}
+	close(gate)
+	waitDone(t, j)
+	if j.StateNow() != StateDone {
+		t.Fatalf("grown job state = %s", j.StateNow())
 	}
 }
 

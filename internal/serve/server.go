@@ -296,14 +296,15 @@ func (s *Server) submit(req Request) (*Job, int, error) {
 	key := req.Key()
 
 	// Look the report up first: an exact repeat needs nothing else —
-	// no point keys, no store probe, no analytic phase. Only a miss
-	// plans the sweep and probes its points, once; the plan keeps the
-	// bytes it found, so the job assembles from them whenever it runs.
-	// Both reads happen before the server lock: a disk-tier hit reads
-	// and verifies files, which must not stall other submissions. For
-	// adaptive requests the plan covers the sim tier — the refinement
-	// the job will run — because req.scale() resolves adaptive to the
-	// simulator.
+	// no point keys, no store probe, no analytic phase. A miss probes
+	// the request's plan once, unless an identical job is in flight:
+	// the submission will ride that job, so the bytes would go unused.
+	// The plan keeps the bytes it found, so a fully covered job
+	// assembles from them. Both reads happen before the server lock: a
+	// disk-tier hit reads and verifies files, which must not stall
+	// other submissions. For adaptive requests the plan covers the sim
+	// tier — the refinement the job will run — because req.scale()
+	// resolves adaptive to the simulator.
 	var (
 		stored []byte
 		found  bool
@@ -311,9 +312,9 @@ func (s *Server) submit(req Request) (*Job, int, error) {
 	)
 	if s.points != nil {
 		stored, found = s.points.Get(key)
-		if e, ok := experiment.Get(req.Experiment); ok && e.Plan != nil {
+		if e, _ := experiment.Get(req.Experiment); e.Plan != nil {
 			plan = e.Plan(req.Seed, req.scale(), req.grids())
-			if !found {
+			if !found && !s.inflightKey(key) {
 				plan.Probe(s.points)
 			}
 		}
@@ -344,6 +345,15 @@ func (s *Server) submit(req Request) (*Job, int, error) {
 		s.runOne(j)
 	}
 	return j, status, err
+}
+
+// inflightKey reports whether a job for the request key is queued or
+// running.
+func (s *Server) inflightKey(key string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.inflight[key]
+	return ok
 }
 
 // admit is Submit's locked section. It returns inline=true when the
@@ -417,8 +427,10 @@ func (s *Server) admit(req Request, key string, stored []byte, found bool, plan 
 		return j, http.StatusOK, true, nil
 	}
 
-	// Bounded, tenant-fair queue with backpressure.
-	j = s.newJobLocked(key, req, planned, covered, plan, partial)
+	// Bounded, tenant-fair queue with backpressure. A queued job keeps
+	// no plan: it may wait long, and its run probes again anyway for
+	// points stored meanwhile.
+	j = s.newJobLocked(key, req, planned, covered, nil, partial)
 	if qerr := s.queue.enqueue(j); qerr != nil {
 		delete(s.jobs, j.ID)
 		s.order = s.order[:len(s.order)-1]
@@ -434,10 +446,11 @@ func (s *Server) admit(req Request, key string, stored []byte, found bool, plan 
 }
 
 // newJobLocked allocates and registers a job. Caller holds s.mu. A
-// non-nil plan is what the job runs. A non-nil partial makes the job
-// adaptive: the analytic answer attaches before any other event, so
-// EventPartial is always event 1 and every subscriber knows a partial
-// is fetchable before they see the job move.
+// non-nil plan is the probed plan an inline job assembles from. A
+// non-nil partial makes the job adaptive: the analytic answer attaches
+// before any other event, so EventPartial is always event 1 and every
+// subscriber knows a partial is fetchable before they see the job
+// move.
 func (s *Server) newJobLocked(key string, req Request, planned, covered int, plan *experiment.Plan, partial *partialResult) *Job {
 	s.nextID++
 	ctx, cancel := context.WithCancel(s.baseCtx)
@@ -583,6 +596,9 @@ func (s *Server) worker() {
 
 // runOne executes a single job end to end.
 func (s *Server) runOne(j *Job) {
+	// A job cancelled before it runs must not keep its plan's bytes
+	// for as long as it is retained.
+	defer j.takePlan()
 	if err := j.ctx.Err(); err != nil {
 		// Cancelled (or shut down) while queued. finalize is a no-op if
 		// Cancel already finalized and accounted for the job.
@@ -670,11 +686,14 @@ func (s *Server) runExperiment(ctx context.Context, j *Job) ([]byte, int, error)
 	}
 	sc = sc.WithContext(ctx)
 
+	// An inline job runs the plan it probed. Any other job sweeps
+	// afresh: RunGrid for experiments that take grids, the grid sweeps
+	// among them planning through the same driver; Run for the rest.
 	var rep *experiment.Report
 	if plan := j.takePlan(); plan != nil {
 		rep = plan.Run(sc)
-	} else if g := j.Req.grids(); !g.Empty() && e.RunGrid != nil {
-		rep = e.RunGrid(j.Req.Seed, sc, g)
+	} else if e.RunGrid != nil {
+		rep = e.RunGrid(j.Req.Seed, sc, j.Req.grids())
 	} else {
 		rep = e.Run(j.Req.Seed, sc)
 	}
