@@ -25,10 +25,11 @@ test: vet
 # Race-detect the concurrent experiment harness, the event queue it
 # drives, the serving layer (queue + worker pool), the result store
 # (internal/pointstore: stored reports, cross-job single-flight point
-# coalescing), and the cluster fan-out client (hedges, retries,
-# prober).
+# coalescing), the cluster fan-out client (hedges, retries, prober),
+# and the managed machine tier (the kernel's image memo and machine
+# pool, shared by concurrent sweep workers).
 test-race:
-	$(GO) test -race ./internal/experiment/... ./internal/sim/... ./internal/serve/... ./internal/pointstore/... ./internal/cluster/... ./cmd/rrserved/...
+	$(GO) test -race ./internal/experiment/... ./internal/sim/... ./internal/serve/... ./internal/pointstore/... ./internal/cluster/... ./internal/kernel/... ./internal/machine/... ./cmd/rrserved/...
 
 # End-to-end smoke test of the rrserved daemon: boot, submit a sweep
 # over HTTP, poll to completion, check cache + metrics counters, drain

@@ -295,6 +295,7 @@ func benchAdaptiveSubmit(b *testing.B) {
 func BenchmarkServeFidelity(b *testing.B) {
 	b.Run("sim", func(b *testing.B) { benchServeFidelity(b, "sim") })
 	b.Run("analytic", func(b *testing.B) { benchServeFidelity(b, "analytic") })
+	b.Run("machine", func(b *testing.B) { benchServeFidelity(b, "machine") })
 	b.Run("adaptive-submit", benchAdaptiveSubmit)
 }
 

@@ -268,9 +268,10 @@ worker_spin:
 `, trips, latency)
 }
 
-// runMachineCell builds a fresh managed machine for the (R, L) cell
-// and measures utilization as worker-loop instructions over total
-// cycles, the same counting managed-isa uses. R and L are clamped to
+// runMachineCell runs the (R, L) cell on a managed machine (pooled,
+// and reset in place between cells) and measures utilization as
+// worker-loop instructions over total cycles, the same counting
+// managed-isa uses. R and L are clamped to
 // the ISA's immediate range; grids beyond it saturate rather than
 // fail to assemble.
 func runMachineCell(r, l int) (float64, error) {
@@ -287,6 +288,7 @@ func runMachineCell(r, l int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	defer mgr.Release()
 	mgr.EnableLongFaults()
 	for i := 0; i < machineThreads; i++ {
 		mgr.Spawn(fmt.Sprintf("w%d", i), "worker", machineIters)

@@ -3,10 +3,13 @@ package experiment
 import (
 	"math"
 	"path/filepath"
+	"runtime"
+	"sync"
 	"testing"
 
 	"regreloc/internal/pointstore"
 	"regreloc/internal/policy"
+	"regreloc/internal/testutil"
 )
 
 // TestCrossTierDecodeRejected is the cross-tier pollution regression
@@ -150,6 +153,89 @@ func runMachineCellForTest(t *testing.T) float64 {
 		t.Fatal(err)
 	}
 	return eff
+}
+
+// TestMachineCellAllocs pins a warm machine cell's allocations. A
+// cell reuses a pooled machine (its 64 Ki-entry predecode table and
+// 256 KiB memory) and the memoized kernel image, so what remains is
+// the manager's own bookkeeping: about 50 small allocations and
+// 2.5 KB. Building a machine per cell costs about 1,500 allocations
+// and 3.3 MB; assembling the image per cell, about 1,300 allocations
+// and 220 KB.
+func TestMachineCellAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("AllocsPerRun is not meaningful under -race")
+	}
+	cell := func() {
+		if _, err := runMachineCell(32, 128); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One P throughout, as AllocsPerRun runs: the pool keeps a machine
+	// per P, and the byte loop must find the one the warm-up returned.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cell() // warm the machine pool and the image memo
+	if allocs := testing.AllocsPerRun(20, cell); allocs > 100 {
+		t.Errorf("warm machine cell allocated %.0f times; want <= 100", allocs)
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		cell()
+	}
+	runtime.ReadMemStats(&after)
+	if perCell := (after.TotalAlloc - before.TotalAlloc) / runs; perCell > 16<<10 {
+		t.Errorf("warm machine cell allocated %d bytes; want <= 16 KiB (machine or image rebuilt per cell?)", perCell)
+	}
+}
+
+// TestMachineCellsConcurrent runs machine cells from several
+// goroutines at once, as parallel sweep workers do, and checks every
+// answer against a sequential run. The workers share the machine pool
+// and the image memo; run it with -race.
+func TestMachineCellsConcurrent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("machine execution in -short")
+	}
+	type cell struct{ r, l int }
+	var cells []cell
+	for _, r := range []int{8, 32} {
+		for _, l := range []int{16, 64, 128} {
+			cells = append(cells, cell{r, l})
+		}
+	}
+	want := make([]float64, len(cells))
+	for i, c := range cells {
+		eff, err := runMachineCell(c.r, c.l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = eff
+	}
+	const workers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			// Each worker starts at a different cell, so different
+			// sources meet in the memo and the pool at once.
+			for k := range cells {
+				i := (k + w) % len(cells)
+				eff, err := runMachineCell(cells[i].r, cells[i].l)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if eff != want[i] {
+					t.Errorf("worker %d, R=%d L=%d: %v concurrently, %v sequentially",
+						w, cells[i].r, cells[i].l, eff, want[i])
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 // TestFidelityErrorExperiment: the calibration sweep produces one

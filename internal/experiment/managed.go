@@ -16,6 +16,7 @@ func runManagedPoint(latency, threads, iters int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	defer mgr.Release()
 	mgr.EnableLongFaults()
 	for i := 0; i < threads; i++ {
 		mgr.Spawn(fmt.Sprintf("w%d", i), "worker", iters)

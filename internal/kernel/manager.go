@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 
 	"regreloc/internal/asm"
 	"regreloc/internal/isa"
@@ -31,8 +32,8 @@ import (
 // also keeps every operand's high bit clear under the multiple-RRM
 // decode.
 type Manager struct {
-	M    *machine.Machine
-	prog *asm.Program
+	M   *machine.Machine
+	img *image
 
 	schedRRM int
 	rrmBits  int
@@ -184,26 +185,122 @@ worker_spin:
 `, latency)
 }
 
-// NewManager builds the combined image (runtime + Appendix A allocator
-// + manager stubs + user code) on a fresh 128-register multi-RRM
-// machine and bootstraps the scheduler's own context through the
-// assembly allocator.
-func NewManager(userSrc string) (*Manager, error) {
-	m := machine.New(machine.Config{Registers: 128, MultiRRM: true})
-	full := strings.Join([]string{
+// image is an assembled manager image with the entry points the
+// manager drives resolved once. Managers built from the same user
+// source share one image; it is read-only once assembled.
+type image struct {
+	prog *asm.Program
+
+	yield, park, enter, relink, call, done int
+	load, loadEntry8, unloadEntry8         int
+	alloc16, dealloc                       int
+}
+
+// newImage assembles the combined image: runtime, Appendix A
+// allocator, manager stubs, and the user code at UserBase.
+func newImage(userSrc string) (*image, error) {
+	prog, err := asm.Assemble(strings.Join([]string{
 		RuntimeSource(),
 		AllocASMSource(),
 		managerStubs,
 		fmt.Sprintf(".org %d", UserBase),
 		userSrc,
-	}, "\n")
-	prog, err := asm.Assemble(full)
+	}, "\n"))
 	if err != nil {
 		return nil, err
 	}
-	m.Load(prog, 0)
+	img := &image{prog: prog}
+	for _, e := range []struct {
+		name string
+		addr *int
+	}{
+		{"yield", &img.yield}, {"mgr_park", &img.park}, {"mgr_enter", &img.enter},
+		{"mgr_relink", &img.relink}, {"mgr_call", &img.call}, {"mgr_done", &img.done},
+		{"load", &img.load}, {"load_entry_8", &img.loadEntry8}, {"unload_entry_8", &img.unloadEntry8},
+		{"ctx_alloc16", &img.alloc16}, {"ctx_dealloc", &img.dealloc},
+	} {
+		a, ok := prog.Symbols[e.name]
+		if !ok {
+			return nil, fmt.Errorf("kernel: missing symbol %q", e.name)
+		}
+		*e.addr = a
+	}
+	return img, nil
+}
+
+// maxImages bounds the image memo. rrserved's machine tier builds one
+// user source per (R, L) cell and accepts any R and L, so the memo
+// must not grow with traffic: once it holds maxImages images, a new
+// source is assembled for its manager alone.
+const maxImages = 64
+
+// imageMemo shares assembled images by user source: a sweep, and a
+// serving tier answering repeated cells, assemble the same few sources
+// over and over. It holds at most limit images.
+type imageMemo struct {
+	mu       sync.Mutex
+	limit    int
+	bySource map[string]*image
+}
+
+func newImageMemo(limit int) *imageMemo {
+	return &imageMemo{limit: limit, bySource: make(map[string]*image)}
+}
+
+// images is the process-wide memo behind NewManager.
+var images = newImageMemo(maxImages)
+
+// get returns the memoized image for userSrc, assembling it on a miss.
+// The assembly runs outside the lock; when two goroutines race on one
+// source, the first stored wins.
+func (c *imageMemo) get(userSrc string) (*image, error) {
+	c.mu.Lock()
+	img := c.bySource[userSrc]
+	c.mu.Unlock()
+	if img != nil {
+		return img, nil
+	}
+	img, err := newImage(userSrc)
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if prev := c.bySource[userSrc]; prev != nil {
+		return prev, nil
+	}
+	if len(c.bySource) < c.limit {
+		c.bySource[userSrc] = img
+	}
+	return img, nil
+}
+
+// machines recycles managed machines, as the node simulator's
+// statePool recycles its state: Release resets a machine in place,
+// keeping its 64 Ki-entry predecode table, and NewManager takes it
+// back.
+var machines = sync.Pool{New: func() any {
+	return machine.New(machine.Config{Registers: 128, MultiRRM: true})
+}}
+
+// NewManager builds the combined image (runtime + Appendix A allocator
+// + manager stubs + user code) on a 128-register multi-RRM machine and
+// bootstraps the scheduler's own context through the assembly
+// allocator. The machine comes from a pool; Release returns it.
+func NewManager(userSrc string) (*Manager, error) {
+	img, err := images.get(userSrc)
+	if err != nil {
+		return nil, err
+	}
+	return newManager(machines.Get().(*machine.Machine), img)
+}
+
+// newManager loads img onto m, which must be new or reset, and
+// bootstraps the scheduler context. On failure it releases m.
+func newManager(m *machine.Machine, img *image) (*Manager, error) {
+	m.Load(img.prog, 0)
 	mgr := &Manager{
-		M: m, prog: prog,
+		M: m, img: img,
 		rrmBits:  m.RF.RRMBits(),
 		descNext: descBase,
 		saveNext: SaveAreaBase,
@@ -213,14 +310,26 @@ func NewManager(userSrc string) (*Manager, error) {
 	// coinciding with the boot RRM).
 	desc := mgr.newDesc()
 	if !mgr.asmAlloc(desc) {
+		mgr.Release()
 		return nil, errors.New("kernel: scheduler bootstrap allocation failed")
 	}
 	mgr.schedRRM = int(m.Mem[desc+ThreadRRMOff])
 	if mgr.schedRRM != 0 {
+		mgr.Release()
 		return nil, fmt.Errorf("kernel: scheduler context at %d, expected 0", mgr.schedRRM)
 	}
 	mgr.installTrap()
 	return mgr, nil
+}
+
+// Release resets the manager's machine and returns it to the pool
+// NewManager takes from. Neither the manager nor its machine may be
+// used afterwards. A manager that is never released costs only the
+// reuse.
+func (mgr *Manager) Release() {
+	mgr.M.Reset()
+	machines.Put(mgr.M)
+	mgr.M = nil
 }
 
 func (mgr *Manager) newDesc() int {
@@ -230,7 +339,7 @@ func (mgr *Manager) newDesc() int {
 }
 
 func (mgr *Manager) symbol(name string) int {
-	a, ok := mgr.prog.Symbols[name]
+	a, ok := mgr.img.prog.Symbols[name]
 	if !ok {
 		panic(fmt.Sprintf("kernel: missing symbol %q", name))
 	}
@@ -241,8 +350,7 @@ func (mgr *Manager) symbol(name string) int {
 // parking stub when a management pass is pending (the timer-interrupt
 // analogue).
 func (mgr *Manager) installTrap() {
-	yield := mgr.symbol("yield")
-	park := mgr.symbol("mgr_park")
+	yield, park := mgr.img.yield, mgr.img.park
 	m := mgr.M
 	m.FaultTrap = func(uint32) (int, bool) {
 		rrm := m.RF.RRM()
@@ -276,8 +384,8 @@ func (mgr *Manager) asmAlloc(desc int) bool {
 	mgr.AllocCalls++
 	mgr.schedReg(7, uint32(desc))
 	mgr.schedReg(14, GlobalAllocMap)
-	mgr.schedReg(13, uint32(mgr.symbol("ctx_alloc16")))
-	mgr.runStub(mgr.symbol("mgr_call"))
+	mgr.schedReg(13, uint32(mgr.img.alloc16))
+	mgr.runStub(mgr.img.call)
 	return mgr.M.RF.Read(mgr.schedRRM+8) == 1
 }
 
@@ -286,8 +394,8 @@ func (mgr *Manager) asmDealloc(desc int) {
 	mgr.DeallocCalls++
 	mgr.schedReg(7, uint32(desc))
 	mgr.schedReg(14, GlobalAllocMap)
-	mgr.schedReg(13, uint32(mgr.symbol("ctx_dealloc")))
-	mgr.runStub(mgr.symbol("mgr_call"))
+	mgr.schedReg(13, uint32(mgr.img.dealloc))
+	mgr.runStub(mgr.img.call)
 }
 
 // asmRelink sets target's NextRRM (R2) to value via the multiple-RRM
@@ -296,7 +404,7 @@ func (mgr *Manager) asmRelink(targetRRM, value int) {
 	packed := mgr.schedRRM | targetRRM<<uint(mgr.rrmBits)
 	mgr.schedReg(5, uint32(value))
 	mgr.schedReg(6, uint32(packed))
-	mgr.runStub(mgr.symbol("mgr_relink"))
+	mgr.runStub(mgr.img.relink)
 }
 
 // Spawn queues a managed thread (entry label in the user source).
@@ -352,22 +460,21 @@ func (mgr *Manager) admit() bool {
 		mgr.asmRelink(pred.rrm, t.rrm)
 	}
 	mgr.resident = append(mgr.resident, t)
-
-	// Enter the load routine for an 8-register image; it ends with
-	// "jmp r0", transferring control into the thread.
-	mgr.Loads++
-	mgr.M.Mem[GlobalLoadPtr] = uint32(t.save)
-	mgr.M.Mem[GlobalLoadEntry] = uint32(mgr.LoadEntryAddr(8))
-	mgr.M.RF.SetRRM(mgr.schedRRM)
-	mgr.schedReg(6, uint32(t.rrm))
-	mgr.schedReg(7, uint32(mgr.symbol("load")))
-	mgr.M.PC = mgr.symbol("mgr_enter")
+	mgr.enterLoad(t)
 	return true
 }
 
-// LoadEntryAddr returns load_entry_n in the combined image.
-func (mgr *Manager) LoadEntryAddr(n int) int {
-	return mgr.symbol(fmt.Sprintf("load_entry_%d", n))
+// enterLoad points the machine at the Section 2.5 load routine for t's
+// 8-register image; it ends with "jmp r0", transferring control into
+// the thread.
+func (mgr *Manager) enterLoad(t *ManagedThread) {
+	mgr.Loads++
+	mgr.M.Mem[GlobalLoadPtr] = uint32(t.save)
+	mgr.M.Mem[GlobalLoadEntry] = uint32(mgr.img.loadEntry8)
+	mgr.M.RF.SetRRM(mgr.schedRRM)
+	mgr.schedReg(6, uint32(t.rrm))
+	mgr.schedReg(7, uint32(mgr.img.load))
+	mgr.M.PC = mgr.img.enter
 }
 
 // reap deallocates finished resident threads (their done flag is set
@@ -438,13 +545,13 @@ func (mgr *Manager) Run(maxCycles int64) (int64, error) {
 	}
 	for mgr.finished < total {
 		if mgr.M.Cycles() >= maxCycles {
-			return mgr.M.Cycles(), fmt.Errorf("kernel: cycle budget exhausted with %d/%d finished",
-				mgr.finished, total)
+			return mgr.M.Cycles(), fmt.Errorf("kernel: %w with %d/%d finished",
+				machine.ErrBudget, mgr.finished, total)
 		}
 		// Let the ring run freely for a quantum (the inter-interrupt
 		// period), then park at the next fault.
 		mgr.parkRequested = false
-		if err := mgr.M.Run(mgmtBudget); err != nil && !strings.Contains(err.Error(), "budget") {
+		if err := mgr.M.Run(mgmtBudget); err != nil && !errors.Is(err, machine.ErrBudget) {
 			return mgr.M.Cycles(), err
 		}
 		mgr.parkRequested = true
@@ -513,7 +620,7 @@ func (mgr *Manager) Run(maxCycles int64) (int64, error) {
 			resume = mgr.resident[0].rrm
 		}
 		mgr.M.RF.SetRRM(resume)
-		mgr.M.PC = mgr.symbol("yield")
+		mgr.M.PC = mgr.img.yield
 	}
 	return mgr.M.Cycles(), nil
 }

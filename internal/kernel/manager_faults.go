@@ -46,8 +46,7 @@ func (t *ManagedThread) unloadThreshold() int64 { return 8 + 10 }
 // interpretation of FAULT latencies described above. Without it,
 // faults complete instantly (the ring merely rotates).
 func (mgr *Manager) EnableLongFaults() {
-	yield := mgr.symbol("yield")
-	park := mgr.symbol("mgr_park")
+	yield, park := mgr.img.yield, mgr.img.park
 	m := mgr.M
 	mgr.faultState = make(map[*ManagedThread]*managedFaultState)
 	m.FaultTrap = func(lat uint32) (int, bool) {
@@ -136,10 +135,10 @@ func (mgr *Manager) unloadBlocked(t *ManagedThread) {
 	// installs the victim's RRM and jumps to the entry point.
 	mgr.M.Mem[GlobalSchedRRM] = uint32(mgr.schedRRM)
 	mgr.M.RF.SetRRM(mgr.schedRRM)
-	mgr.schedReg(5, uint32(mgr.symbol("mgr_done")))
+	mgr.schedReg(5, uint32(mgr.img.done))
 	mgr.schedReg(6, uint32(t.rrm))
-	mgr.schedReg(7, uint32(mgr.UnloadEntryAddr(8)))
-	mgr.M.PC = mgr.symbol("mgr_enter")
+	mgr.schedReg(7, uint32(mgr.img.unloadEntry8))
+	mgr.M.PC = mgr.img.enter
 	if err := mgr.M.Run(2000); err != nil {
 		panic(fmt.Sprintf("kernel: managed unload failed: %v", err))
 	}
@@ -155,11 +154,6 @@ func (mgr *Manager) unloadBlocked(t *ManagedThread) {
 		}
 	}
 	mgr.unloaded = append(mgr.unloaded, t)
-}
-
-// UnloadEntryAddr returns unload_entry_n in the combined image.
-func (mgr *Manager) UnloadEntryAddr(n int) int {
-	return mgr.symbol(fmt.Sprintf("unload_entry_%d", n))
 }
 
 // reloadOne brings back the first unloaded thread whose fault has been
@@ -192,14 +186,7 @@ func (mgr *Manager) reloadOne() bool {
 			mgr.asmRelink(pred.rrm, t.rrm)
 		}
 		mgr.resident = append(mgr.resident, t)
-
-		mgr.Loads++
-		mgr.M.Mem[GlobalLoadPtr] = uint32(t.save)
-		mgr.M.Mem[GlobalLoadEntry] = uint32(mgr.LoadEntryAddr(8))
-		mgr.M.RF.SetRRM(mgr.schedRRM)
-		mgr.schedReg(6, uint32(t.rrm))
-		mgr.schedReg(7, uint32(mgr.symbol("load")))
-		mgr.M.PC = mgr.symbol("mgr_enter")
+		mgr.enterLoad(t)
 		return true
 	}
 	return false
@@ -220,7 +207,7 @@ func (mgr *Manager) idleUntilService() {
 	for earliest > 0 && mgr.M.Cycles() < earliest {
 		// Execute the parking halt repeatedly; each Step costs a cycle.
 		mgr.M.Resume()
-		mgr.M.PC = mgr.symbol("mgr_park")
+		mgr.M.PC = mgr.img.park
 		if err := mgr.M.Step(); err != nil {
 			panic(fmt.Sprintf("kernel: idle step failed: %v", err))
 		}

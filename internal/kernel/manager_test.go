@@ -1,8 +1,11 @@
 package kernel
 
 import (
+	"errors"
 	"fmt"
 	"testing"
+
+	"regreloc/internal/machine"
 )
 
 func TestManagedOversubscription(t *testing.T) {
@@ -94,8 +97,8 @@ func TestManagedBudgetExhaustion(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr.Spawn("w", "worker", 1_000_000)
-	if _, err := mgr.Run(20_000); err == nil {
-		t.Fatal("expected budget exhaustion")
+	if _, err := mgr.Run(20_000); !errors.Is(err, machine.ErrBudget) {
+		t.Fatalf("err = %v; expected budget exhaustion", err)
 	}
 }
 

@@ -13,6 +13,7 @@
 package machine
 
 import (
+	"errors"
 	"fmt"
 
 	"regreloc/internal/asm"
@@ -98,9 +99,9 @@ type Machine struct {
 	// form of the word codeWords[a]. Step validates an entry by comparing
 	// codeWords[a] against Mem[a], so the cache is sound against any
 	// store into code memory (self-modifying programs, Load over old
-	// code, direct Mem pokes in tests) without invalidation hooks. The
-	// zero entry is valid for a zero word because isa.Decode(0) is the
-	// zero Instr.
+	// code, Reset, direct Mem pokes in tests) without invalidation
+	// hooks. The zero entry is valid for a zero word because
+	// isa.Decode(0) is the zero Instr.
 	code      []isa.Instr
 	codeWords []uint32
 
@@ -123,6 +124,10 @@ func (e *Exception) Error() string {
 }
 
 func (e *Exception) Unwrap() error { return e.Cause }
+
+// ErrBudget is the cause of the Exception Run returns when its cycle
+// budget runs out before HALT. Match it with errors.Is.
+var ErrBudget = errors.New("cycle budget exhausted")
 
 // New returns a machine with the given configuration.
 func New(cfg Config) *Machine {
@@ -154,20 +159,31 @@ func (m *Machine) Halted() bool { return m.halted }
 func (m *Machine) Resume() { m.halted = false }
 
 // Load copies an assembled program into memory at word address base.
+// Its instructions are decoded on first fetch.
 func (m *Machine) Load(p *asm.Program, base int) {
 	if base+len(p.Words) > len(m.Mem) {
 		panic(fmt.Sprintf("machine: program of %d words does not fit at %d", len(p.Words), base))
 	}
 	for i, w := range p.Words {
 		m.Mem[base+i] = uint32(w)
-		m.code[base+i] = isa.Decode(w)
-		m.codeWords[base+i] = uint32(w)
 	}
 }
 
-// Reset clears registers, memory, and all execution state.
+// Reset returns the machine to the state New leaves it in, in place:
+// memory, registers, PC, PSW, the cycle count, the halt latch, a
+// pending LDRRM, remote arrivals and every hook are cleared. The
+// predecode cache is kept. fetch checks each entry against Mem, so an
+// entry left by an earlier program is decoded again on first use.
 func (m *Machine) Reset() {
-	*m = *New(m.cfg)
+	mem := m.Mem
+	if len(mem) == m.cfg.MemWords {
+		clear(mem)
+	} else {
+		mem = make([]uint32, m.cfg.MemWords)
+	}
+	m.RF.Reset()
+	m.RF.SetMultiRRM(m.cfg.MultiRRM)
+	*m = Machine{cfg: m.cfg, RF: m.RF, Mem: mem, code: m.code, codeWords: m.codeWords}
 }
 
 func (m *Machine) exception(cause error) error {
@@ -360,13 +376,14 @@ func (m *Machine) Step() error {
 }
 
 // Run executes until HALT, an exception, or maxCycles elapse. It
-// returns an error for exceptions, and a budget error when maxCycles is
-// hit (which usually indicates a runaway program in tests).
+// returns an error for exceptions, and an Exception wrapping ErrBudget
+// when maxCycles is hit (a runaway program in tests, or the end of a
+// quantum for a caller that runs the machine in slices).
 func (m *Machine) Run(maxCycles int64) error {
 	start := m.cycles
 	for !m.halted {
 		if m.cycles-start >= maxCycles {
-			return m.exception(fmt.Errorf("cycle budget %d exhausted", maxCycles))
+			return m.exception(ErrBudget)
 		}
 		if err := m.Step(); err != nil {
 			return err

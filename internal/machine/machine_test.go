@@ -8,6 +8,7 @@ import (
 	"regreloc/internal/asm"
 	"regreloc/internal/isa"
 	"regreloc/internal/regfile"
+	"regreloc/internal/testutil"
 )
 
 func run(t *testing.T, src string) *Machine {
@@ -330,8 +331,15 @@ func TestRunBudget(t *testing.T) {
 	m := New(Config{})
 	m.Load(asm.MustAssemble("loop: jal r1, loop"), 0)
 	err := m.Run(50)
-	if err == nil || !strings.Contains(err.Error(), "budget") {
+	var ex *Exception
+	if !errors.Is(err, ErrBudget) || !errors.As(err, &ex) || ex.Cycle != 50 {
 		t.Errorf("runaway program: err = %v", err)
+	}
+	// A real exception is not a spent budget.
+	m = New(Config{})
+	m.Load(asm.MustAssemble("li r1, -1\nsw r1, 0(r1)"), 0)
+	if err := m.Run(50); err == nil || errors.Is(err, ErrBudget) {
+		t.Errorf("store outside memory: err = %v", err)
 	}
 }
 
@@ -397,10 +405,81 @@ func TestTraceHook(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	m := run(t, "movi r1, 5\nhalt")
+	// Dirty every piece of state: registers, both masks, memory, PSW,
+	// a remote arrival, every hook, and an LDRRM still pending because
+	// its delay slot holds the HALT.
+	m := New(Config{RemoteBase: 60000, MultiRRM: true})
+	m.OnRemoteMiss = func(int, uint32) (int, bool) { return 0, false }
+	m.OnFault = func(uint32) {}
+	m.FaultTrap = func(uint32) (int, bool) { return 0, false }
+	m.Trace = func(int, isa.Instr) {}
+	m.Load(asm.MustAssemble(`
+		movi r1, 5
+		mtpsw r1
+		li r3, 60000
+		lw r4, 0(r3)
+		sw r1, 100(r0)
+		movi r2, 32
+		ldrrm r2
+		halt
+	`), 0)
+	if err := m.Run(100); err != nil {
+		t.Fatal(err)
+	}
+	if !m.pendingActive || len(m.arrived) != 1 {
+		t.Fatalf("setup left pending=%v arrived=%v", m.pendingActive, m.arrived)
+	}
 	m.Reset()
-	if m.Cycles() != 0 || m.Halted() || m.RF.Read(1) != 0 {
-		t.Error("reset incomplete")
+	if m.Cycles() != 0 || m.Halted() || m.PC != 0 || m.PSW != 0 {
+		t.Errorf("reset left cycles=%d halted=%v pc=%d psw=%d", m.Cycles(), m.Halted(), m.PC, m.PSW)
+	}
+	for i := 0; i < m.RF.Size(); i++ {
+		if m.RF.Read(i) != 0 {
+			t.Errorf("reset left r%d = %d", i, m.RF.Read(i))
+		}
+	}
+	if m.RF.RRM() != 0 || m.RF.RRM1() != 0 || !m.RF.MultiRRM() {
+		t.Errorf("reset left RRM=%d RRM1=%d multiRRM=%v", m.RF.RRM(), m.RF.RRM1(), m.RF.MultiRRM())
+	}
+	for a, w := range m.Mem {
+		if w != 0 {
+			t.Fatalf("reset left Mem[%d] = %d", a, w)
+		}
+	}
+	if m.OnFault != nil || m.FaultTrap != nil || m.OnRemoteMiss != nil || m.Trace != nil {
+		t.Error("reset kept a hook")
+	}
+	if m.pendingActive || m.arrived != nil {
+		t.Errorf("reset left pending=%v arrived=%v", m.pendingActive, m.arrived)
+	}
+
+	// The kept predecode entries are stale for the next program at the
+	// same addresses; it must run as written, in the boot context.
+	misses := 0
+	m.OnRemoteMiss = func(int, uint32) (int, bool) { misses++; return 0, false }
+	m.Load(asm.MustAssemble(`
+		movi r1, 7
+		li r3, 60000
+		lw r4, 0(r3)
+		halt
+	`), 0)
+	if err := m.Run(100); err != nil {
+		t.Fatal(err)
+	}
+	if m.RF.Read(1) != 7 || m.RF.RRM() != 0 || misses != 1 {
+		t.Errorf("after reset: r1=%d RRM=%d remote misses=%d; want 7, 0, 1", m.RF.Read(1), m.RF.RRM(), misses)
+	}
+}
+
+// TestResetAllocFree: Reset clears in place, keeping memory, the
+// register file and the predecode table.
+func TestResetAllocFree(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("AllocsPerRun is not meaningful under -race")
+	}
+	m := New(Config{})
+	if allocs := testing.AllocsPerRun(10, m.Reset); allocs != 0 {
+		t.Errorf("Reset allocated %.0f times; want 0", allocs)
 	}
 }
 

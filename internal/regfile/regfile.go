@@ -86,6 +86,14 @@ func New(n int, mode Mode) *File {
 	return &File{regs: make([]uint32, n), mode: mode}
 }
 
+// Reset zeroes every register, both relocation masks and the bound in
+// place. The mode and the multiple-RRM setting are kept.
+func (f *File) Reset() {
+	clear(f.regs)
+	f.rrm = [2]int{}
+	f.bound = 0
+}
+
 // Size returns the number of general registers.
 func (f *File) Size() int { return len(f.regs) }
 
