@@ -3,7 +3,7 @@ package experiment
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
+	"strconv"
 
 	"regreloc/internal/pointstore"
 )
@@ -43,10 +43,24 @@ func pointKey(experimentID string, seed uint64, scale Scale, f, r, l int, arch s
 }
 
 // pointKeyWith is pointKey with the engine version injected, so tests
-// can pin cross-version distinctness without rebuilding the binary.
+// can pin cross-version distinctness without rebuilding the binary. The
+// preimage is one "name=value" line per field after the schema line,
+// built in a stack buffer: every sweep cell hashes one.
 func pointKeyWith(engine string, fid Fidelity, experimentID string, seed uint64, threads int, work int64, f, r, l int, arch string) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\nengine=%s\nfidelity=%s\nexperiment=%s\nseed=%d\nthreads=%d\nwork=%d\nf=%d\nr=%d\nl=%d\narch=%s\n",
-		pointSchema, engine, fid, experimentID, seed, threads, work, f, r, l, arch)
-	return hex.EncodeToString(h.Sum(nil))
+	var buf [256]byte
+	b := append(buf[:0], pointSchema...)
+	b = append(append(b, "\nengine="...), engine...)
+	b = append(append(b, "\nfidelity="...), fid...)
+	b = append(append(b, "\nexperiment="...), experimentID...)
+	b = strconv.AppendUint(append(b, "\nseed="...), seed, 10)
+	b = strconv.AppendInt(append(b, "\nthreads="...), int64(threads), 10)
+	b = strconv.AppendInt(append(b, "\nwork="...), work, 10)
+	b = strconv.AppendInt(append(b, "\nf="...), int64(f), 10)
+	b = strconv.AppendInt(append(b, "\nr="...), int64(r), 10)
+	b = strconv.AppendInt(append(b, "\nl="...), int64(l), 10)
+	b = append(append(append(b, "\narch="...), arch...), '\n')
+	sum := sha256.Sum256(b)
+	var key [2 * sha256.Size]byte
+	hex.Encode(key[:], sum[:])
+	return string(key[:])
 }

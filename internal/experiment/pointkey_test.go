@@ -1,9 +1,11 @@
 package experiment
 
 import (
+	"strings"
 	"testing"
 
 	"regreloc/internal/rng"
+	"regreloc/internal/testutil"
 )
 
 // The point key is the entire soundness argument of the point store:
@@ -157,5 +159,21 @@ func TestPointKeyPinnedDigests(t *testing.T) {
 		if got != c.want {
 			t.Errorf("%s %s cell key = %s, want %s", c.fid, c.experiment, got, c.want)
 		}
+	}
+}
+
+// TestPointKeyAllocs: a key costs one allocation, its string. The
+// preimage is built in a stack buffer and hashed with sha256.Sum256;
+// formatting it with fmt into a fresh digest cost nine.
+func TestPointKeyAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("AllocsPerRun is not meaningful under -race")
+	}
+	engine := "pinned-engine-" + strings.Repeat("0123456789abcdef", 4)
+	allocs := testing.AllocsPerRun(100, func() {
+		pointKeyWith(engine, FidelitySim, "figure5", 1, 32, 2000, 64, 8, 16, "fixed")
+	})
+	if allocs > 1 {
+		t.Errorf("pointKeyWith: %v allocations, want 1", allocs)
 	}
 }

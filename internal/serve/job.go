@@ -238,6 +238,7 @@ func (s State) terminal() bool {
 type Job struct {
 	// Immutable after creation.
 	ID      string
+	seq     int64 // admission order, for listing
 	Key     string
 	Req     Request
 	Created time.Time
@@ -435,7 +436,9 @@ type Plan struct {
 }
 
 // Status is the JSON view of a job returned by the API. Result is the
-// canonical report JSON and is only present on done jobs.
+// canonical report JSON and is only present on done jobs. The server
+// writes Partial and Result verbatim after the rest (encodeStatus), so
+// they stay the last fields.
 type Status struct {
 	ID         string    `json:"id"`
 	Key        string    `json:"key"`
@@ -452,12 +455,12 @@ type Status struct {
 	Plan       *Plan     `json:"plan,omitempty"`
 	CreatedAt  time.Time `json:"created_at"`
 	ElapsedMS  int64     `json:"elapsed_ms,omitempty"`
-	// Partial is the immediate analytic report of an adaptive job,
-	// available from the moment Submit returns and dropped once the
-	// refined Result lands. Bounds are the refinement's measured
-	// analytic-vs-sim error, published when the job completes.
-	Partial json.RawMessage `json:"partial,omitempty"`
+	// Bounds are an adaptive job's measured analytic-vs-sim error,
+	// published when the refinement completes. Partial is its immediate
+	// analytic report, available from the moment Submit returns and
+	// dropped once the refined Result lands.
 	Bounds  *ErrorBounds    `json:"bounds,omitempty"`
+	Partial json.RawMessage `json:"partial,omitempty"`
 	Result  json.RawMessage `json:"result,omitempty"`
 }
 
@@ -521,14 +524,6 @@ func (j *Job) finalize(s State, result []byte, err error) bool {
 	return true
 }
 
-// finishedAt returns the finish time and whether the job is terminal,
-// for the server's job-table retention pruning.
-func (j *Job) finishedAt() (time.Time, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.finished, j.state.terminal()
-}
-
 // State returns the job's current state.
 func (j *Job) StateNow() State {
 	j.mu.Lock()
@@ -589,4 +584,32 @@ func (j *Job) Status(withResult bool) Status {
 		st.Result = json.RawMessage(j.result)
 	}
 	return st
+}
+
+// encodeStatus writes st as compact JSON. encoding/json marshals the
+// small envelope; Partial and Result are appended verbatim, not
+// re-validated or re-encoded, because they are already canonical JSON
+// (encodeReport output or checksum-verified store entries). A client
+// receives them byte for byte as stored.
+func encodeStatus(st Status) ([]byte, error) {
+	partial, result := st.Partial, st.Result
+	st.Partial, st.Result = nil, nil
+	env, err := json.Marshal(st)
+	if err != nil {
+		return nil, err
+	}
+	const (
+		partialKey = `,"partial":`
+		resultKey  = `,"result":`
+	)
+	// One byte more for the newline writeBody appends.
+	buf := make([]byte, 0, len(env)+len(partialKey)+len(partial)+len(resultKey)+len(result)+1)
+	buf = append(buf, env[:len(env)-1]...) // all but the closing brace
+	if len(partial) > 0 {
+		buf = append(append(buf, partialKey...), partial...)
+	}
+	if len(result) > 0 {
+		buf = append(append(buf, resultKey...), result...)
+	}
+	return append(buf, '}'), nil
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"log"
 	"net/http"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -56,9 +58,9 @@ type Config struct {
 	// content-addressed cache keeps the result itself far longer; only
 	// the per-job status record is pruned.
 	JobRetention time.Duration
-	// MaxJobs caps the job table; past it the oldest terminal jobs are
-	// pruned regardless of age (default 1024). Non-terminal jobs are
-	// never pruned — they are already bounded by QueueCap + Workers.
+	// MaxJobs caps the job table; past it the earliest finished jobs
+	// are pruned regardless of age (default 1024). Non-terminal jobs
+	// are never pruned — they are already bounded by QueueCap + Workers.
 	MaxJobs int
 	// MaxBodyBytes bounds request bodies (default 1 MiB).
 	MaxBodyBytes int64
@@ -144,7 +146,7 @@ type Server struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
-	order    []string        // submission order, for listing
+	retired  []retiredJob    // terminal jobs in finish order, for pruning
 	inflight map[string]*Job // request key → queued/running job
 	queue    *jobQueue
 	draining bool
@@ -248,11 +250,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		// finalize the backlog here — otherwise each job's Done channel
 		// never closes and clients waiting on it block forever.
 		for _, j := range s.queue.drainRemaining() {
-			if j.finalize(StateCanceled, nil, errors.New("server shut down before starting")) {
-				s.forgetInflight(j)
-				s.queue.release(j.tenant)
-				s.met.jobFinished(j.Req.Experiment, StateCanceled, -1, false)
-			}
+			s.settle(j, StateQueued, StateCanceled, nil, errors.New("server shut down before starting"), -1)
 		}
 	}
 	s.baseCancel()
@@ -403,6 +401,7 @@ func (s *Server) admit(req Request, key string, stored []byte, found bool, plan 
 		j.appendEventLocked(Event{Type: EventState, State: StateDone, Cached: true})
 		close(j.done)
 		j.cancel() // born terminal: release its context registration now
+		s.retireLocked(j)
 		s.met.incSubmitted()
 		s.met.jobFinished(req.Experiment, StateDone, -1, false)
 		return j, http.StatusOK, false, nil
@@ -433,7 +432,6 @@ func (s *Server) admit(req Request, key string, stored []byte, found bool, plan 
 	j = s.newJobLocked(key, req, planned, covered, nil, partial)
 	if qerr := s.queue.enqueue(j); qerr != nil {
 		delete(s.jobs, j.ID)
-		s.order = s.order[:len(s.order)-1]
 		j.cancel() // never ran: release its context registration
 		s.queue.release(tenant)
 		s.met.incRejected()
@@ -456,6 +454,7 @@ func (s *Server) newJobLocked(key string, req Request, planned, covered int, pla
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	j := &Job{
 		ID:         fmt.Sprintf("j%06d", s.nextID),
+		seq:        s.nextID,
 		Key:        key,
 		Req:        req,
 		Created:    time.Now(),
@@ -475,7 +474,6 @@ func (s *Server) newJobLocked(key string, req Request, planned, covered int, pla
 		j.appendEventLocked(Event{Type: EventPartial, Fidelity: "analytic", Total: partial.cells})
 	}
 	s.jobs[j.ID] = j
-	s.order = append(s.order, j.ID)
 	return j
 }
 
@@ -515,26 +513,38 @@ func (s *Server) analyticPhase(req Request) (*partialResult, error) {
 	return &partialResult{data: data, eff: eff, cells: len(rep.Points)}, nil
 }
 
-// pruneJobsLocked bounds the job table: terminal jobs past the
-// retention window are dropped, and while the table exceeds MaxJobs the
-// oldest terminal jobs go too. Result bytes live on in the
+// retiredJob is a terminal job's place in the pruning FIFO.
+type retiredJob struct {
+	id string
+	at time.Time // when the job finished
+}
+
+// retireLocked appends a job that just finished to the back of the
+// pruning FIFO. Caller holds s.mu, under which every job finishes, so
+// the FIFO is in finish order.
+func (s *Server) retireLocked(j *Job) {
+	s.retired = append(s.retired, retiredJob{j.ID, time.Now()})
+}
+
+// pruneJobsLocked bounds the job table. It drops jobs from the front of
+// the finish-order FIFO while the table exceeds MaxJobs or the front
+// job finished more than JobRetention ago, so it touches only the jobs
+// it removes, and a queued or long-running job never holds up the
+// finished jobs behind it. Result bytes live on in the
 // content-addressed store; only the per-job status record (and its ID)
 // disappears, so a long-running daemon's memory tracks the store
 // budget, not every submission ever made. Caller holds s.mu.
 func (s *Server) pruneJobsLocked() {
 	cutoff := time.Now().Add(-s.cfg.JobRetention)
-	over := len(s.order) - s.cfg.MaxJobs
-	kept := s.order[:0]
-	for _, id := range s.order {
-		fin, terminal := s.jobs[id].finishedAt()
-		if terminal && (over > 0 || fin.Before(cutoff)) {
-			over--
-			delete(s.jobs, id)
-			continue
+	for len(s.retired) > 0 {
+		front := s.retired[0]
+		if len(s.jobs) <= s.cfg.MaxJobs && !front.at.Before(cutoff) {
+			return
 		}
-		kept = append(kept, id)
+		delete(s.jobs, front.id)
+		s.retired[0] = retiredJob{} // let the ID be collected
+		s.retired = s.retired[1:]
 	}
-	s.order = kept
 }
 
 // Job returns a job by ID.
@@ -556,26 +566,34 @@ func (s *Server) Cancel(id string) (*Job, bool) {
 		return nil, false
 	}
 	j.cancel()
-	j.mu.Lock()
-	queued := j.state == StateQueued
-	j.mu.Unlock()
-	if queued {
-		// Finalize now; the worker skips already-terminal jobs.
-		if j.finalize(StateCanceled, nil, context.Canceled) {
-			s.forgetInflight(j)
-			s.queue.release(j.tenant)
-			s.met.jobFinished(j.Req.Experiment, StateCanceled, -1, false)
-		}
-	}
+	// Finalize a queued job now; the worker skips already-terminal jobs.
+	s.settle(j, StateQueued, StateCanceled, nil, context.Canceled, -1)
 	return j, true
 }
 
-func (s *Server) forgetInflight(j *Job) {
+// settle moves j from state from to the terminal state final and
+// settles the server's books, all under s.mu; it does nothing if j has
+// left from, so a canceller and a worker racing on one job account for
+// it once. The job leaves the in-flight table, frees its tenant slot
+// and is counted before it finishes: a client that saw it finish then
+// finds the stored report instead of coalescing onto the finished job,
+// its tenant slot free, and the metrics counting it. A run stores its
+// report before settling, so a concurrent submission finds one or the
+// other. seconds is the run's duration, negative for a job that never
+// ran.
+func (s *Server) settle(j *Job, from, final State, result []byte, err error, seconds float64) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if j.StateNow() != from {
+		return
+	}
 	if s.inflight[j.Key] == j {
 		delete(s.inflight, j.Key)
 	}
-	s.mu.Unlock()
+	s.queue.release(j.tenant)
+	s.met.jobFinished(j.Req.Experiment, final, seconds, from == StateRunning)
+	j.finalize(final, result, err)
+	s.retireLocked(j)
 }
 
 // worker drains the queue until Shutdown closes it (and the backlog
@@ -600,20 +618,19 @@ func (s *Server) runOne(j *Job) {
 	// for as long as it is retained.
 	defer j.takePlan()
 	if err := j.ctx.Err(); err != nil {
-		// Cancelled (or shut down) while queued. finalize is a no-op if
-		// Cancel already finalized and accounted for the job.
-		if j.finalize(StateCanceled, nil, err) {
-			s.forgetInflight(j)
-			s.queue.release(j.tenant)
-			s.met.jobFinished(j.Req.Experiment, StateCanceled, -1, false)
-		}
+		// Cancelled (or shut down) while queued. settle is a no-op if
+		// Cancel already settled the job.
+		s.settle(j, StateQueued, StateCanceled, nil, err, -1)
 		return
 	}
-	// Claim the job. The transition fails only when Cancel finalized it
-	// between the context check above and here — the canceler saw
-	// state == queued, so it already unregistered and counted the job;
-	// running it anyway would re-finalize and double-close done.
-	if !j.setState(StateRunning) {
+	// Claim the job under s.mu, where settle checks the state. The
+	// transition fails only when Cancel settled the job since the
+	// context check above; running it anyway would re-finalize and
+	// double-close done. Once claimed, Cancel leaves it to this run.
+	s.mu.Lock()
+	claimed := j.setState(StateRunning)
+	s.mu.Unlock()
+	if !claimed {
 		return
 	}
 
@@ -641,23 +658,11 @@ func (s *Server) runOne(j *Job) {
 			}
 		}
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		final = StateCanceled
+		final, data = StateCanceled, nil
 	default:
-		final = StateFailed
+		final, data = StateFailed, nil
 	}
-	// Settle the bookkeeping before the job finishes. A client that saw
-	// it finish then finds the stored report instead of coalescing onto
-	// the finished job, its tenant slot free, and the metrics counting
-	// it. The report is stored before the job leaves the in-flight
-	// table, so a concurrent submission finds one or the other.
-	s.forgetInflight(j)
-	s.queue.release(j.tenant)
-	s.met.jobFinished(j.Req.Experiment, final, seconds, true)
-	if final == StateDone {
-		j.finalize(final, data, nil)
-	} else {
-		j.finalize(final, nil, err)
-	}
+	s.settle(j, StateRunning, final, data, err, seconds)
 	s.log.Printf("job %s %s tenant=%s experiment=%s points=%d elapsed=%.3fs",
 		j.ID, final, j.tenant, j.Req.Experiment, points, seconds)
 }
@@ -810,12 +815,37 @@ func (s *Server) logged(next http.Handler) http.Handler {
 	})
 }
 
+// writeJSON answers with v as compact JSON. It marshals before writing
+// anything, so a value that cannot be encoded answers 500 rather than a
+// 200 with a truncated body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	body, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(map[string]string{"error": "encoding response: " + err.Error()})
+	}
+	writeBody(w, status, body)
+}
+
+// writeStatus answers with a job status, its report bytes verbatim.
+func writeStatus(w http.ResponseWriter, status int, st Status) {
+	body, err := encodeStatus(st)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, fmt.Errorf("encoding job status: %w", err))
+		return
+	}
+	writeBody(w, status, body)
+}
+
+// writeBody sends a complete JSON body, with its length, and a newline
+// after it for terminal users.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	body = append(body, '\n')
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	enc.Encode(v)
+	w.Write(body)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
@@ -860,16 +890,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, err)
 		return
 	}
-	writeJSON(w, status, j.Status(false))
+	writeStatus(w, status, j.Status(false))
 }
 
 func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	jobs := make([]*Job, 0, len(s.order))
-	for _, id := range s.order {
-		jobs = append(jobs, s.jobs[id])
+	jobs := make([]*Job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		jobs = append(jobs, j)
 	}
 	s.mu.Unlock()
+	slices.SortFunc(jobs, func(a, b *Job) int { return cmp.Compare(a.seq, b.seq) })
 	out := make([]Status, 0, len(jobs))
 	for _, j := range jobs {
 		out = append(out, j.Status(false))
@@ -884,7 +915,7 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	withResult := r.URL.Query().Get("result") != "false"
-	writeJSON(w, http.StatusOK, j.Status(withResult))
+	writeStatus(w, http.StatusOK, j.Status(withResult))
 }
 
 func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
@@ -893,7 +924,7 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no such job %q", r.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusOK, j.Status(false))
+	writeStatus(w, http.StatusOK, j.Status(false))
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

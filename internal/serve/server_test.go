@@ -9,6 +9,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -426,18 +427,113 @@ func TestTerminalJobsPruned(t *testing.T) {
 		waitDone(t, j)
 	}
 	s.mu.Lock()
-	nJobs, nOrder := len(s.jobs), len(s.order)
+	nJobs := len(s.jobs)
 	s.mu.Unlock()
 	// Pruning runs before each submission registers its job, so the
 	// table holds at most MaxJobs survivors plus the newest job.
 	if nJobs > cfg.MaxJobs+1 {
 		t.Errorf("job table not bounded: %d jobs (MaxJobs %d)", nJobs, cfg.MaxJobs)
 	}
-	if nJobs != nOrder {
-		t.Errorf("jobs/order out of sync: %d vs %d", nJobs, nOrder)
+	if listed := listJobIDs(t, s); len(listed) != nJobs {
+		t.Errorf("GET /v1/jobs lists %d jobs, table holds %d", len(listed), nJobs)
 	}
 	if _, ok := s.Job(first.ID); ok {
 		t.Error("oldest terminal job survived cap pruning")
+	}
+}
+
+// listJobIDs returns the job IDs GET /v1/jobs lists, in its order.
+func listJobIDs(t *testing.T, s *Server) []string {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/jobs", nil))
+	var list struct {
+		Jobs []Status `json:"jobs"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &list); err != nil {
+		t.Fatalf("GET /v1/jobs: %d %v", rec.Code, err)
+	}
+	ids := make([]string, len(list.Jobs))
+	for i, st := range list.Jobs {
+		ids[i] = st.ID
+	}
+	return ids
+}
+
+// TestPruningFollowsFinishOrder: a job blocked in runJob while
+// MaxJobs+3 quick jobs finish neither blocks their pruning nor is
+// pruned itself. The table keeps the blocked job and the newest MaxJobs
+// finished ones, and once the blocked job finishes it is the last to
+// go: pruning follows finish order, not admission order. GET /v1/jobs
+// lists the survivors in admission order throughout.
+func TestPruningFollowsFinishOrder(t *testing.T) {
+	cfg := testConfig()
+	cfg.MaxJobs = 4
+	cfg.JobRetention = time.Hour // only the cap triggers here
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, released := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	release := func() { once.Do(func() { close(released) }) }
+	s.runJob = func(ctx context.Context, j *Job) ([]byte, int, error) {
+		if j.Req.Seed == 1 {
+			close(entered)
+			<-released
+		}
+		return []byte(`{}`), 0, nil
+	}
+	s.Start()
+	defer func() { release(); s.Shutdown(context.Background()) }()
+
+	submit := func(seed uint64) *Job {
+		t.Helper()
+		req := tinyRequest()
+		req.Seed = seed
+		j, _, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	ids := func(js ...*Job) []string {
+		out := make([]string, len(js))
+		for i, j := range js {
+			out[i] = j.ID
+		}
+		return out
+	}
+
+	blocked := submit(1)
+	<-entered
+	var quick []*Job
+	for i := 0; i < cfg.MaxJobs+3; i++ {
+		j := submit(uint64(i + 2))
+		waitDone(t, j)
+		quick = append(quick, j)
+		s.mu.Lock()
+		n := len(s.jobs)
+		s.mu.Unlock()
+		if n > cfg.MaxJobs+1 {
+			t.Fatalf("after %d quick jobs the table holds %d (MaxJobs %d, 1 in flight)", i+1, n, cfg.MaxJobs)
+		}
+	}
+	if _, ok := s.Job(quick[0].ID); ok {
+		t.Error("oldest finished job survived cap pruning")
+	}
+	want := ids(append([]*Job{blocked}, quick[3:]...)...)
+	if got := listJobIDs(t, s); !slices.Equal(got, want) {
+		t.Errorf("with a job in flight, GET /v1/jobs = %v, want %v", got, want)
+	}
+
+	release()
+	waitDone(t, blocked)
+	last := submit(100)
+	waitDone(t, last)
+	want = ids(append(append([]*Job{blocked}, quick[4:]...), last)...)
+	if got := listJobIDs(t, s); !slices.Equal(got, want) {
+		t.Errorf("after the blocked job finished, GET /v1/jobs = %v, want %v", got, want)
 	}
 }
 

@@ -29,16 +29,32 @@ wait_ready() { # addr [tries]
     return 1
 }
 
+# field body name — the first "name":"string" value in a compact JSON
+# body. The status envelope's fields come first, so a report spliced in
+# after them cannot shadow its "id".
+field() {
+    local rest=${1#*\"$2\":\"}
+    [ "$rest" = "$1" ] || printf '%s' "${rest%%\"*}"
+}
+
 run_job() { # addr outfile — submit REQUEST, poll to done, extract the result object
-    local addr=$1 out=$2 id state status
+    local addr=$1 out=$2 id state status result
     status=$(curl -fsS -X POST "http://$addr/v1/jobs" -d "$REQUEST")
-    id=$(printf '%s\n' "$status" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' | head -1)
+    id=$(field "$status" id)
     [ -n "$id" ] || { echo "submit to $addr returned no job id: $status" >&2; return 1; }
     for _ in $(seq 1 300); do
         status=$(curl -fsS "http://$addr/v1/jobs/$id")
-        state=$(printf '%s\n' "$status" | sed -n 's/.*"state": *"\([^"]*\)".*/\1/p' | head -1)
+        state=$(field "$status" state)
         case "$state" in
-            done) printf '%s\n' "$status" | sed -n '/"result": {/,$p' > "$out"; return 0 ;;
+            done)
+                # "result" is the envelope's last field: take what follows
+                # its key, less the envelope's closing brace.
+                result=${status#*\"result\":}
+                [ "$result" != "$status" ] || { echo "done job $id on $addr has no result: $status" >&2; return 1; }
+                result=${result%\}}
+                [ -n "$result" ] || { echo "job $id on $addr returned an empty result" >&2; return 1; }
+                printf '%s' "$result" > "$out"
+                return 0 ;;
             failed|canceled) echo "job $id on $addr ended $state: $status" >&2; return 1 ;;
         esac
         sleep 0.2
@@ -101,6 +117,9 @@ wait_ready "$COORD"
 run_job "$COORD" "$TMP/cluster.json"
 
 echo "== comparing single-node vs cluster results"
+for f in "$TMP/single.json" "$TMP/cluster.json"; do
+    [ -s "$f" ] || { echo "extracted result $f is empty" >&2; exit 1; }
+done
 diff "$TMP/single.json" "$TMP/cluster.json" \
     || { echo "cluster result differs from single-node result" >&2; exit 1; }
 echo "   byte-identical ($(wc -c < "$TMP/cluster.json") bytes)"

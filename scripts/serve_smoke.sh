@@ -16,6 +16,14 @@ trap 'kill "$PID" 2>/dev/null || true; rm -rf "$TMP"' EXIT
 echo "== building rrserved"
 go build -o "$BIN" ./cmd/rrserved
 
+# field body name — the first "name":"string" value in a compact JSON
+# body. The status envelope's fields come first, so a report spliced in
+# after them cannot shadow its "id".
+field() {
+    local rest=${1#*\"$2\":\"}
+    [ "$rest" = "$1" ] || printf '%s' "${rest%%\"*}"
+}
+
 # boot starts a daemon on the shared store dir and waits for readiness.
 boot() {
     echo "== starting rrserved on $ADDR"
@@ -49,13 +57,13 @@ REQ='{"experiment":"figure5","seed":1,"scale":"quick","f":[64],"r":[8],"l":[16,3
 
 echo "== submitting tiny sweep"
 SUBMIT=$(curl -fsS -X POST -H 'Content-Type: application/json' -d "$REQ" "$BASE/v1/jobs")
-JOB=$(printf '%s' "$SUBMIT" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p')
+JOB=$(field "$SUBMIT" id)
 [ -n "$JOB" ] || { echo "no job id in: $SUBMIT" >&2; exit 1; }
 
 echo "== polling job $JOB"
 for i in $(seq 1 150); do
     STATUS=$(curl -fsS "$BASE/v1/jobs/$JOB?result=false")
-    STATE=$(printf '%s' "$STATUS" | sed -n 's/.*"state": *"\([^"]*\)".*/\1/p')
+    STATE=$(field "$STATUS" state)
     case "$STATE" in
         done) break ;;
         failed|canceled) echo "job ended $STATE: $STATUS" >&2; exit 1 ;;
