@@ -19,8 +19,12 @@ fmt-check:
 	@out=$$(gofmt -l $$(git ls-files '*.go')); \
 	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# perfbench/ is its own module, so the root ./... never compiles it;
+# vet and test it too, so an API change that breaks the benchmark
+# fails here rather than when the benchmark runs.
 test: vet
 	$(GO) test ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Race-detect the concurrent experiment harness, the event queue it
 # drives, the serving layer (queue + worker pool), the result store

@@ -158,7 +158,7 @@ func BenchmarkServeGridOverlap(b *testing.B) {
 
 // The fully warm sweep: every cell of a figure5 quick grid resolves
 // from the point store, so the measured rate is pure cache-assembly
-// throughput — plan, one batched probe, decode, no simulation at all.
+// throughput — plan, one GetBatch probe, decode, no simulation at all.
 // This is the path an interactive dashboard re-querying overlapping
 // grids lives on, and the one the parallel decode targets.
 func BenchmarkSweepWarm(b *testing.B) {

@@ -90,8 +90,6 @@ func run(args []string, stderr io.Writer, stop <-chan struct{}, ready chan<- str
 		drainTimeout  = fs.Duration("drain-timeout", 30*time.Second, "graceful shutdown deadline")
 		pointBytes    = fs.Int64("point-cache-bytes", 32<<20, "in-memory result-store budget in bytes, for sweep points and reports (negative disables all result reuse)")
 		pointDir      = fs.String("point-cache-dir", "", "directory for the result store's disk tier (empty = memory only)")
-		pointShards   = fs.Int("point-cache-shards", 0, "point-store shard count, rounded up to a power of two (0 = sized to GOMAXPROCS)")
-		pointSpillQ   = fs.Int("point-cache-spill-queue", 0, "max point-store entries queued for background disk spill (0 = default)")
 		jobRetention  = fs.Duration("job-retention", 15*time.Minute, "how long finished jobs stay queryable by ID")
 		maxJobs       = fs.Int("max-jobs", 1024, "job table cap: oldest finished jobs are pruned past it")
 		tenantMax     = fs.Int("tenant-max-inflight", 0, "max active jobs per tenant, 429 past it (0 = no per-tenant cap)")
@@ -188,21 +186,19 @@ func run(args []string, stderr io.Writer, stop <-chan struct{}, ready chan<- str
 	}
 
 	cfg := serve.Config{
-		QueueCap:             *queueCap,
-		Workers:              *workers,
-		PointWorkers:         *pointWorkers,
-		JobTimeout:           *jobTimeout,
-		PointCacheBytes:      *pointBytes,
-		PointCacheDir:        *pointDir,
-		PointCacheShards:     *pointShards,
-		PointCacheSpillQueue: *pointSpillQ,
-		JobRetention:         *jobRetention,
-		MaxJobs:              *maxJobs,
-		TenantWeights:        weights,
-		TenantMaxInflight:    *tenantMax,
-		Logger:               logger,
-		ComputeLimit:         computeLimit,
-		DefaultFidelity:      *fidelity,
+		QueueCap:          *queueCap,
+		Workers:           *workers,
+		PointWorkers:      *pointWorkers,
+		JobTimeout:        *jobTimeout,
+		PointCacheBytes:   *pointBytes,
+		PointCacheDir:     *pointDir,
+		JobRetention:      *jobRetention,
+		MaxJobs:           *maxJobs,
+		TenantWeights:     weights,
+		TenantMaxInflight: *tenantMax,
+		Logger:            logger,
+		ComputeLimit:      computeLimit,
+		DefaultFidelity:   *fidelity,
 	}
 	if cl != nil {
 		cfg.Remote = cl

@@ -68,8 +68,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		parallel = fs.Int("parallel", 0, "sweep-point workers: 0 = one per core, 1 = sequential")
 		fidelity = fs.String("fidelity", "sim", "measurement tier: sim, machine, or analytic (grid experiments only for non-sim)")
 		ptCache  = fs.String("pointcache", "", "directory memoizing per-point results across runs (incremental sweeps)")
-		ptShards = fs.Int("pointcache-shards", 0, "point-cache shard count, rounded up to a power of two (0 = sized to GOMAXPROCS)")
-		ptQueue  = fs.Int("pointcache-spill-queue", 0, "max point-cache entries queued for background disk spill (0 = default)")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = fs.String("memprofile", "", "write a heap profile to this file on exit")
 		mtxProf  = fs.String("mutexprofile", "", "write a mutex-contention profile to this file on exit")
@@ -163,10 +161,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var store *pointstore.Store
 	if *ptCache != "" {
 		var err error
-		store, err = pointstore.NewWith(64<<20, *ptCache, pointstore.Options{
-			Shards:     *ptShards,
-			SpillQueue: *ptQueue,
-		})
+		store, err = pointstore.New(64<<20, *ptCache)
 		if err != nil {
 			fmt.Fprintf(stderr, "rrsim: %v\n", err)
 			return 1

@@ -23,26 +23,34 @@ import (
 // seconds.
 var batchLatencyBounds = []float64{0.01, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 15}
 
+// Fixed parameters of the fan-out client.
+const (
+	// maxInflight bounds concurrent batch requests across the whole
+	// client.
+	maxInflight = 16
+	// retryBackoff spaces retry attempts, growing linearly per attempt.
+	retryBackoff = 100 * time.Millisecond
+	// probeTimeout bounds one health probe.
+	probeTimeout = time.Second
+)
+
+// httpClient carries every request to the workers. It has no global
+// timeout: compute requests are bounded by the sweep's context,
+// probes by probeTimeout.
+var httpClient = &http.Client{}
+
 // Config configures the coordinator-side fan-out client.
 type Config struct {
 	// Workers are the worker base URLs (e.g. http://10.0.0.7:8081).
 	// Required, at least one.
 	Workers []string
-	// VNodes per worker on the hash ring (0 = 128).
-	VNodes int
 	// BatchSize caps points per compute request (0 = 32). Smaller
 	// batches spread a sweep wider and make hedging finer-grained;
 	// larger ones amortize HTTP overhead.
 	BatchSize int
-	// MaxInflight bounds concurrent batch requests across the whole
-	// client (0 = 16).
-	MaxInflight int
 	// Retries is how many times a failed batch is re-sent, each time
 	// re-hashed onto the surviving workers (0 = 2; negative disables).
 	Retries int
-	// RetryBackoff spaces retry attempts (0 = 100ms), growing linearly
-	// per attempt.
-	RetryBackoff time.Duration
 	// HedgeAfter launches a duplicate of a still-unanswered batch on
 	// the next ring successor after this long (0 = 500ms; negative
 	// disables hedging). First response wins; results dedupe by point
@@ -54,38 +62,23 @@ type Config struct {
 	HedgeMax float64
 	// ProbeInterval spaces health probes (0 = 2s).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe (0 = 1s).
-	ProbeTimeout time.Duration
 	// EjectAfter ejects a worker from the ring after this many
 	// consecutive failures, probe or compute (0 = 2).
 	EjectAfter int
-	// HTTPClient overrides the transport (nil = a client with no
-	// global timeout; compute requests are bounded by the sweep's
-	// context, probes by ProbeTimeout).
-	HTTPClient *http.Client
 	// Logf receives operational messages (ejections, re-admissions,
 	// give-ups); nil uses the standard logger.
 	Logf func(format string, args ...any)
 }
 
 func (c Config) withDefaults() Config {
-	if c.VNodes <= 0 {
-		c.VNodes = defaultVNodes
-	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 32
-	}
-	if c.MaxInflight <= 0 {
-		c.MaxInflight = 16
 	}
 	if c.Retries == 0 {
 		c.Retries = 2
 	}
 	if c.Retries < 0 {
 		c.Retries = 0
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 100 * time.Millisecond
 	}
 	if c.HedgeAfter == 0 {
 		c.HedgeAfter = 500 * time.Millisecond
@@ -96,14 +89,8 @@ func (c Config) withDefaults() Config {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 2 * time.Second
 	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = time.Second
-	}
 	if c.EjectAfter <= 0 {
 		c.EjectAfter = 2
-	}
-	if c.HTTPClient == nil {
-		c.HTTPClient = &http.Client{}
 	}
 	if c.Logf == nil {
 		c.Logf = log.Printf
@@ -158,8 +145,8 @@ func New(cfg Config) (*Client, error) {
 	}
 	c := &Client{
 		cfg:     cfg,
-		ring:    NewRing(cfg.VNodes),
-		sem:     make(chan struct{}, cfg.MaxInflight),
+		ring:    NewRing(defaultVNodes),
+		sem:     make(chan struct{}, maxInflight),
 		workers: make(map[string]*workerState),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
@@ -227,13 +214,13 @@ func (c *Client) ProbeNow() {
 
 // probe checks one worker's readiness endpoint.
 func (c *Client) probe(worker string) error {
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, worker+"/readyz", nil)
 	if err != nil {
 		return err
 	}
-	resp, err := c.cfg.HTTPClient.Do(req)
+	resp, err := httpClient.Do(req)
 	if err != nil {
 		return err
 	}
@@ -389,7 +376,7 @@ func (c *Client) runBatch(ctx context.Context, sweep experiment.RemoteSweep, b b
 			c.mu.Lock()
 			c.retries++
 			c.mu.Unlock()
-			if !sleepCtx(ctx, time.Duration(attempt)*c.cfg.RetryBackoff) {
+			if !sleepCtx(ctx, time.Duration(attempt)*retryBackoff) {
 				return
 			}
 			// Re-hash against current membership: the original owner may
@@ -552,7 +539,7 @@ func (c *Client) send(ctx context.Context, sweep experiment.RemoteSweep, b batch
 	req.Header.Set("Content-Type", "application/json")
 
 	start := time.Now()
-	resp, err := c.cfg.HTTPClient.Do(req)
+	resp, err := httpClient.Do(req)
 	if err != nil {
 		return nil, err
 	}

@@ -135,9 +135,14 @@ func validateCompute(req *computeRequest, maxCells int) error {
 		return fmt.Errorf("threads %d out of range", req.Threads)
 	case req.WorkRuns < 0 || req.MinWork < 0:
 		return fmt.Errorf("negative work")
+	case req.WorkRuns > experiment.Full.WorkRuns || req.MinWork > experiment.Full.MinWork:
+		return fmt.Errorf("work %d/%d exceeds full scale (%d/%d)",
+			req.WorkRuns, req.MinWork, experiment.Full.WorkRuns, experiment.Full.MinWork)
 	}
 	for _, c := range req.Cells {
-		if c.F <= 0 || c.R <= 0 || c.L <= 0 || c.Arch == "" || c.Key == "" {
+		// The grid bounds serve applies to submitted grids.
+		if c.Arch == "" || c.Key == "" || c.F < 1 || c.F > experiment.MaxF ||
+			c.R < 1 || c.R > experiment.MaxR || c.L < 1 || c.L > experiment.MaxL {
 			return fmt.Errorf("malformed cell %+v", c)
 		}
 	}

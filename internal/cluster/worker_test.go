@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"regreloc/internal/experiment"
 	"regreloc/internal/pointstore"
 )
 
@@ -63,6 +64,13 @@ func TestWorkerRejectsBadRequests(t *testing.T) {
 		"malformed cell": func(r *computeRequest) { r.Cells[0].F = 0 },
 		"keyless cell":   func(r *computeRequest) { r.Cells[0].Key = "" },
 		"archless cell":  func(r *computeRequest) { r.Cells[0].Arch = "" },
+		// The bounds serve puts on submitted grids and scales.
+		"huge F":        func(r *computeRequest) { r.Cells[0].F = 1 << 30 },
+		"F over cap":    func(r *computeRequest) { r.Cells[0].F = experiment.MaxF + 1 },
+		"R over cap":    func(r *computeRequest) { r.Cells[0].R = experiment.MaxR + 1 },
+		"L over cap":    func(r *computeRequest) { r.Cells[0].L = experiment.MaxL + 1 },
+		"huge WorkRuns": func(r *computeRequest) { r.WorkRuns = experiment.Full.WorkRuns + 1 },
+		"huge MinWork":  func(r *computeRequest) { r.MinWork = experiment.Full.MinWork + 1 },
 	}
 	for name, mutate := range cases {
 		req := validRequest()
@@ -117,7 +125,7 @@ func TestWorkerServesWarmCellsFromStoreBatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real simulation cells")
 	}
-	store, err := pointstore.NewWith(8<<20, "", pointstore.Options{Shards: 4})
+	store, err := pointstore.New(8<<20, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,6 @@ import (
 	"sync"
 
 	"regreloc/internal/analytic"
-	"regreloc/internal/isa"
-	"regreloc/internal/kernel"
 	"regreloc/internal/node"
 	"regreloc/internal/rng"
 	"regreloc/internal/workload"
@@ -268,12 +266,10 @@ worker_spin:
 `, trips, latency)
 }
 
-// runMachineCell runs the (R, L) cell on a managed machine (pooled,
-// and reset in place between cells) and measures utilization as
-// worker-loop instructions over total cycles, the same counting
-// managed-isa uses. R and L are clamped to
-// the ISA's immediate range; grids beyond it saturate rather than
-// fail to assemble.
+// runMachineCell runs the (R, L) cell through runManaged, the same
+// measurement managed-isa makes. R and L are clamped to the ISA's
+// immediate range; grids beyond it saturate rather than fail to
+// assemble.
 func runMachineCell(r, l int) (float64, error) {
 	if r > machineMaxRun {
 		r = machineMaxRun
@@ -284,26 +280,5 @@ func runMachineCell(r, l int) (float64, error) {
 	if l < 1 {
 		l = 1
 	}
-	mgr, err := kernel.NewManager(machineWorkerSource(r, l))
-	if err != nil {
-		return 0, err
-	}
-	defer mgr.Release()
-	mgr.EnableLongFaults()
-	for i := 0; i < machineThreads; i++ {
-		mgr.Spawn(fmt.Sprintf("w%d", i), "worker", machineIters)
-	}
-	workStart := mgr.Symbol("worker")
-	workEnd := mgr.Symbol("worker_spin")
-	var useful int64
-	mgr.M.Trace = func(pc int, in isa.Instr) {
-		if pc >= workStart && pc < workEnd && in.Op != isa.FAULT {
-			useful++
-		}
-	}
-	cycles, err := mgr.Run(machineMaxCycles)
-	if err != nil {
-		return 0, err
-	}
-	return float64(useful) / float64(cycles), nil
+	return runManaged(machineWorkerSource(r, l), machineThreads, machineIters, machineMaxCycles)
 }

@@ -200,6 +200,15 @@ type Grids struct {
 	F, R, L []int
 }
 
+// Upper bounds on grid values that the serving and cluster layers
+// accept from a client: thread slots F, run length R and latency L.
+// Every value must also be at least 1.
+const (
+	MaxF = 4096
+	MaxR = 1 << 20
+	MaxL = 1 << 20
+)
+
 // Empty reports whether no axis is overridden.
 func (g Grids) Empty() bool { return len(g.F) == 0 && len(g.R) == 0 && len(g.L) == 0 }
 

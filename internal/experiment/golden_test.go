@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"regreloc/internal/experiment"
@@ -146,7 +147,11 @@ func TestFigure5GoldenFromPointCache(t *testing.T) {
 	// tier written by one shard count is read back under another).
 	for _, workers := range []int{1, 8} {
 		for _, shards := range []int{1, 4} {
-			warmStore, err := pointstore.NewWith(8<<20, dir, pointstore.Options{Shards: shards})
+			// The store sizes its shard count to GOMAXPROCS when it is
+			// built; restore the setting before the run.
+			prev := runtime.GOMAXPROCS(shards)
+			warmStore, err := pointstore.New(8<<20, dir)
+			runtime.GOMAXPROCS(prev)
 			if err != nil {
 				t.Fatal(err)
 			}

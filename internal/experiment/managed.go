@@ -7,12 +7,14 @@ import (
 	"regreloc/internal/kernel"
 )
 
-// runManagedPoint executes an oversubscribed managed run (every
-// runtime operation in assembly) at the given fault latency and
-// returns the measured processor utilization: cycles spent executing
-// the workers' loop bodies divided by total cycles.
-func runManagedPoint(latency, threads, iters int) (float64, error) {
-	mgr, err := kernel.NewManager(kernel.WorkerSourceLatency(latency))
+// runManaged executes an oversubscribed managed run (every runtime
+// operation in assembly): threads workers of the user source src, each
+// for iters iterations, within maxCycles. It returns the measured
+// processor utilization: cycles spent executing the workers' loop
+// bodies divided by total cycles. managed-isa and the machine tier
+// both measure through it.
+func runManaged(src string, threads, iters int, maxCycles int64) (float64, error) {
+	mgr, err := kernel.NewManager(src)
 	if err != nil {
 		return 0, err
 	}
@@ -32,7 +34,7 @@ func runManagedPoint(latency, threads, iters int) (float64, error) {
 			useful++
 		}
 	}
-	cycles, err := mgr.Run(10_000_000)
+	cycles, err := mgr.Run(maxCycles)
 	if err != nil {
 		return 0, err
 	}
@@ -69,7 +71,7 @@ func init() {
 			effs := make([]float64, len(lats))
 			errs := make([]error, len(lats))
 			r.Err = scale.forEach(len(lats), func(i int) {
-				effs[i], errs[i] = runManagedPoint(lats[i], 10, iters)
+				effs[i], errs[i] = runManaged(kernel.WorkerSourceLatency(lats[i]), 10, iters, 10_000_000)
 			})
 			for i, lat := range lats {
 				if errs[i] != nil {

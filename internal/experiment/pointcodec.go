@@ -186,10 +186,15 @@ func (d *decoder) account(what string) *stats.CycleAccount {
 	case 1:
 		acc := &stats.CycleAccount{}
 		for _, a := range stats.Activities() {
-			acc.Charge(a, d.varint(what))
+			n := d.varint(what)
+			if d.err == nil && n < 0 {
+				// Charge panics on a negative count; no encoder writes one.
+				d.err = fmt.Errorf("experiment: point entry has negative %s cycle count %d for %v", what, n, a)
+			}
 			if d.err != nil {
 				return nil
 			}
+			acc.Charge(a, n)
 		}
 		return acc
 	default:

@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"reflect"
 	"testing"
@@ -75,6 +77,70 @@ func TestPointCodecRejectsDamage(t *testing.T) {
 	if _, err := decodeMeasurements(FidelitySim, append(append([]byte(nil), data...), 0)); err == nil {
 		t.Error("trailing bytes accepted")
 	}
+	// A negative cycle count is an error, not a panic in Charge.
+	if _, err := decodeMeasurements(FidelitySim, entryWithCharge(1)); err != nil {
+		t.Fatalf("the damaged entry's well-formed twin was rejected: %v", err)
+	}
+	if _, err := decodeMeasurements(FidelitySim, entryWithCharge(-1)); err == nil {
+		t.Error("negative cycle count accepted")
+	}
+}
+
+// entryWithCharge hand-encodes one sim measurement whose windowed
+// account charges n cycles to the first activity. It is well formed
+// for n >= 0; no encoder writes n < 0.
+func entryWithCharge(n int64) []byte {
+	buf := []byte{pointCodecVersion, tierTag(FidelitySim)}
+	buf = binary.AppendUvarint(buf, 1) // one measurement
+	buf = appendString(buf, "F=64")
+	buf = appendString(buf, "fixed")
+	for _, v := range []int64{8, 16, 64} { // R, L, F
+		buf = binary.AppendVarint(buf, v)
+	}
+	buf = appendFloat(buf, 0.5)
+	buf = appendString(buf, "fixed")
+	buf = append(buf, 1) // windowed account present
+	for i := range stats.Activities() {
+		v := int64(10)
+		if i == 0 {
+			v = n
+		}
+		buf = binary.AppendVarint(buf, v)
+	}
+	buf = append(buf, 0)               // no full account
+	buf = appendFloat(buf, 0.5)        // efficiency
+	buf = binary.AppendVarint(buf, 32) // completed
+	buf = appendFloat(buf, 4)          // avg resident
+	buf = binary.AppendVarint(buf, 7)  // max resident
+	buf = appendFloat(buf, 1)          // avg wasted regs
+	for range 7 {                      // allocs .. probes
+		buf = binary.AppendVarint(buf, 0)
+	}
+	return buf
+}
+
+// FuzzDecodeMeasurements: decoding never panics, and an accepted entry
+// re-encodes to bytes that decode and re-encode to themselves. (An
+// accepted entry need not re-encode to its own bytes: a varint may
+// arrive longer than the encoder writes it.) The committed seeds under
+// testdata/fuzz are one valid entry per tier and entryWithCharge(-1).
+func FuzzDecodeMeasurements(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, fid := range []Fidelity{FidelitySim, FidelityMachine, FidelityAnalytic} {
+			ms, err := decodeMeasurements(fid, data)
+			if err != nil {
+				continue
+			}
+			once := encodeMeasurements(fid, ms)
+			again, err := decodeMeasurements(fid, once)
+			if err != nil {
+				t.Fatalf("%s: re-encoded entry rejected: %v", fid, err)
+			}
+			if twice := encodeMeasurements(fid, again); !bytes.Equal(once, twice) {
+				t.Fatalf("%s: encoding is not stable:\n once: %x\ntwice: %x", fid, once, twice)
+			}
+		}
+	})
 }
 
 // TestPointCodecCoversResultFields freezes the field inventories the

@@ -77,24 +77,31 @@ func TestRemoteComputerAcceleratesSweep(t *testing.T) {
 // contract: a computer that answers every key with undecodable bytes
 // — and invents keys the sweep never asked for — changes nothing. The
 // engine rejects what fails to decode, ignores unknown keys, and
-// simulates the sweep locally.
+// simulates the sweep locally. The garbage includes an entry that is
+// well formed except for a negative cycle count, which must be
+// rejected rather than panic the emitting goroutine.
 func TestRemoteGarbageCannotCorrupt(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real sweeps")
 	}
 	want := runFigure5Grid(t, experiment.Quick)
 
-	remote := remoteFunc(func(ctx context.Context, sweep experiment.RemoteSweep, emit func(string, []byte)) error {
-		for _, p := range sweep.Points {
-			emit(p.Key, []byte("not a measurement encoding"))
+	for name, garbage := range map[string][]byte{
+		"undecodable":     []byte("not a measurement encoding"),
+		"negative charge": experiment.NegativeChargeEntry(),
+	} {
+		remote := remoteFunc(func(ctx context.Context, sweep experiment.RemoteSweep, emit func(string, []byte)) error {
+			for _, p := range sweep.Points {
+				emit(p.Key, garbage)
+			}
+			emit("key-that-was-never-requested", []byte{1, 2, 3})
+			return nil
+		})
+		sc := experiment.Quick
+		sc.Remote = remote
+		if got := runFigure5Grid(t, sc); got != want {
+			t.Fatalf("%s remote results corrupted the report", name)
 		}
-		emit("key-that-was-never-requested", []byte{1, 2, 3})
-		return nil
-	})
-	sc := experiment.Quick
-	sc.Remote = remote
-	if got := runFigure5Grid(t, sc); got != want {
-		t.Fatal("garbage remote results corrupted the report")
 	}
 }
 

@@ -6,7 +6,7 @@ import "os"
 // osFS; tests inject blocking or failing implementations to prove the
 // locking contract — no disk I/O (and no checksum computation) ever
 // runs while a shard lock is held, so a stalled or broken disk can
-// slow spills down but can never stall Get/Contains/Do on entries the
+// slow spills down but can never stall Get/Covered/Do on entries the
 // memory tier already holds.
 type fsys interface {
 	ReadFile(name string) ([]byte, error)

@@ -73,26 +73,16 @@ type Store struct {
 	spillFailLogged bool
 }
 
-// Options tunes the store's concurrency structure. The zero value
-// picks defaults sized to the machine.
-type Options struct {
-	// Shards is the shard count, rounded up to a power of two. 0 picks
-	// the next power of two >= GOMAXPROCS (capped at 128). More shards
-	// reduce lock contention; each adds a fixed bookkeeping cost.
-	Shards int
-	// SpillQueue bounds the async spill writer's backlog in entries
-	// (0 = 256). Entry-creating calls (Put, Do) wait below the cap;
-	// Get/Contains never block on it.
-	SpillQueue int
-
-	// fs injects a filesystem for tests (blocking or failing disks).
-	// nil uses the real one.
-	fs fsys
-}
-
+// The shard count and the spill queue's depth are fixed, not tuned.
 const (
-	defaultSpillQueue = 256
-	maxShards         = 128
+	// maxShards caps the shard count, which is otherwise the next power
+	// of two >= GOMAXPROCS. More shards reduce lock contention; each
+	// adds a fixed bookkeeping cost.
+	maxShards = 128
+	// spillQueue bounds the async spill writer's backlog in entries.
+	// Entry-creating calls (Put, Do) wait below it; reads never block
+	// on it.
+	spillQueue = 256
 )
 
 // SetLogf redirects the store's operational warnings (e.g. the first
@@ -169,38 +159,24 @@ const indexName = "points.json"
 const lockName = ".lock"
 
 // New returns a store with the given in-memory byte budget (<= 0
-// disables the memory tier) and optional spill directory, using
-// default Options. See NewWith.
-func New(budget int64, dir string) (*Store, error) {
-	return NewWith(budget, dir, Options{})
-}
-
-// NewWith returns a store with the given in-memory byte budget (<= 0
-// disables the memory tier), optional spill directory, and options.
-// An existing index in the directory is loaded so a restarted process
+// disables the memory tier) and optional spill directory, split into
+// the next power of two >= GOMAXPROCS shards (at most 128). An
+// existing index in the directory is loaded so a restarted process
 // resumes with its disk tier warm.
 //
 // The directory is claimed with an advisory lock (dir/.lock) held
-// until Close: if another live process already holds it, NewWith
-// fails with a clear error instead of letting two disk tiers silently
+// until Close: if another live process already holds it, New fails
+// with a clear error instead of letting two disk tiers silently
 // clobber each other's index. Locks die with their holder, so a
 // crashed process never strands a directory.
-func NewWith(budget int64, dir string, opts Options) (*Store, error) {
-	nshards := nextPow2(opts.Shards)
-	if opts.Shards <= 0 {
-		nshards = nextPow2(runtime.GOMAXPROCS(0))
-	}
-	if nshards > maxShards {
-		nshards = maxShards
-	}
-	queue := opts.SpillQueue
-	if queue <= 0 {
-		queue = defaultSpillQueue
-	}
-	fs := opts.fs
-	if fs == nil {
-		fs = osFS{}
-	}
+func New(budget int64, dir string) (*Store, error) {
+	return newStore(budget, dir, min(nextPow2(runtime.GOMAXPROCS(0)), maxShards), osFS{})
+}
+
+// newStore is New with the shard count (a power of two) and the
+// filesystem chosen by the caller; tests use it for one-shard stores
+// and injected disks.
+func newStore(budget int64, dir string, nshards int, fs fsys) (*Store, error) {
 	s := &Store{
 		shards: make([]*shard, nshards),
 		mask:   uint32(nshards - 1),
@@ -234,7 +210,7 @@ func NewWith(budget int64, dir string, opts Options) (*Store, error) {
 			"(each process needs its own point-cache dir; see docs/cluster.md): %w", dir, err)
 	}
 	s.lock = lf
-	s.writer = newSpillWriter(s, queue)
+	s.writer = newSpillWriter(s, spillQueue)
 	raw, err := os.ReadFile(filepath.Join(dir, indexName))
 	if os.IsNotExist(err) {
 		return s, nil
@@ -270,26 +246,19 @@ func nextPow2(n int) int {
 // keys that share a suffix merely share a shard, which affects only
 // contention, never correctness.
 func (s *Store) shardFor(key string) *shard {
-	return s.shards[s.shardIndex(key)]
-}
-
-func (s *Store) shardIndex(key string) uint32 {
 	h := uint32(2166136261) // FNV-1a
-	i := len(key) - 16
-	if i < 0 {
-		i = 0
-	}
-	for ; i < len(key); i++ {
+	for i := max(len(key)-16, 0); i < len(key); i++ {
 		h ^= uint32(key[i])
 		h *= 16777619
 	}
 	h ^= h >> 16
-	return h & s.mask
+	return s.shards[h&s.mask]
 }
 
-// lookup is the unified tiered read: memory, then the spill writer's
-// pending pins, then the verified disk tier. It does no hit/miss
-// accounting; callers count according to their own semantics.
+// lookup is the store's one tiered read: memory, then the spill
+// writer's pending pins, then the verified disk tier. Get, GetBatch
+// and Do all read through it. It does no hit/miss accounting; callers
+// count according to their own semantics.
 func (s *Store) lookup(sh *shard, key string) ([]byte, bool) {
 	if data, ok := sh.memGet(key); ok {
 		return data, true
@@ -319,10 +288,39 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	return data, ok
 }
 
-// Contains reports whether key is resident in memory, pending spill,
-// or on disk, without touching the hit/miss counters. Planners use it
-// to count a request's point-store coverage before queueing.
-func (s *Store) Contains(key string) bool {
+// GetBatch looks every key up as Get does, one lookup per key. The
+// result is index-aligned with keys; absent (or empty) keys yield nil.
+//
+// Counters: each found key counts one Hit; absent keys are NOT
+// counted as misses. GetBatch is the planner's probe — the
+// authoritative miss count comes from the Do calls that follow for
+// the unresolved keys, so counting misses here would double-book them.
+func (s *Store) GetBatch(keys []string) [][]byte {
+	out := make([][]byte, len(keys))
+	for i, k := range keys {
+		if k != "" {
+			out[i], _ = s.Get(k)
+		}
+	}
+	return out
+}
+
+// Covered returns how many of keys are resident in memory, pending
+// spill, or on disk. It reads no file, counts nothing and sets no
+// CLOCK bit, so a planner can measure coverage without disturbing the
+// store. Empty keys are not covered.
+func (s *Store) Covered(keys []string) int {
+	n := 0
+	for _, k := range keys {
+		if k != "" && s.has(k) {
+			n++
+		}
+	}
+	return n
+}
+
+// has is Covered's presence check for one key.
+func (s *Store) has(key string) bool {
 	sh := s.shardFor(key)
 	sh.mu.RLock()
 	_, inMem := sh.items[key]
@@ -331,164 +329,11 @@ func (s *Store) Contains(key string) bool {
 	if inMem || onDisk {
 		return true
 	}
-	if s.writer != nil {
-		if _, ok := s.writer.pendingGet(key); ok {
-			return true
-		}
+	if s.writer == nil {
+		return false
 	}
-	return false
-}
-
-// ContainsBatch reports Contains for every key in one pass: one read
-// lock acquisition per shard touched, not per key. Empty keys report
-// false. The result is index-aligned with keys.
-func (s *Store) ContainsBatch(keys []string) []bool {
-	out := make([]bool, len(keys))
-	s.forEachShardBatch(keys, func(sh *shard, idxs []int) {
-		sh.mu.RLock()
-		for _, i := range idxs {
-			if _, ok := sh.items[keys[i]]; ok {
-				out[i] = true
-				continue
-			}
-			if _, ok := sh.disk[keys[i]]; ok {
-				out[i] = true
-			}
-		}
-		sh.mu.RUnlock()
-	})
-	if s.writer != nil {
-		s.writer.mu.Lock()
-		for i, k := range keys {
-			if !out[i] && k != "" {
-				if _, ok := s.writer.pending[k]; ok {
-					out[i] = true
-				}
-			}
-		}
-		s.writer.mu.Unlock()
-	}
-	return out
-}
-
-// GetBatch resolves every key in one pass per shard: memory hits are
-// collected under a single read lock per shard, then pending-spill
-// and disk-tier candidates are resolved off-lock. The result is
-// index-aligned with keys; absent (or empty) keys yield nil.
-//
-// Counters: each resolved key counts one Hit; absent keys are NOT
-// counted as misses. GetBatch is the planner/pre-pass probe — the
-// authoritative miss count comes from the Do calls that follow for
-// the unresolved keys, so counting misses here would double-book them.
-func (s *Store) GetBatch(keys []string) [][]byte {
-	out := make([][]byte, len(keys))
-	var diskIdx []int // indices needing an off-lock disk read
-	s.forEachShardBatch(keys, func(sh *shard, idxs []int) {
-		sh.mu.RLock()
-		for _, i := range idxs {
-			if e := sh.items[keys[i]]; e != nil {
-				e.ref.Store(true)
-				out[i] = e.data
-				continue
-			}
-			if _, ok := sh.disk[keys[i]]; ok {
-				diskIdx = append(diskIdx, i)
-			}
-		}
-		sh.mu.RUnlock()
-	})
-	if s.writer != nil {
-		s.writer.mu.Lock()
-		for i, k := range keys {
-			if out[i] == nil && k != "" {
-				if data, ok := s.writer.pending[k]; ok {
-					out[i] = data
-				}
-			}
-		}
-		s.writer.mu.Unlock()
-	}
-	var hits int64
-	for _, i := range diskIdx {
-		if out[i] != nil {
-			continue // pending pin already resolved it
-		}
-		// diskGet re-reads the index entry itself; verification and
-		// promotion run with no lock held.
-		if data, ok := s.shardFor(keys[i]).diskGet(keys[i]); ok {
-			out[i] = data
-		}
-	}
-	for i := range out {
-		if out[i] != nil {
-			hits++
-		}
-	}
-	if hits > 0 {
-		s.shards[0].hits.Add(hits)
-	}
-	return out
-}
-
-// forEachShardBatch groups keys by shard (counting sort, no per-shard
-// allocations beyond one index slice) and invokes fn once per
-// non-empty shard with the indices of its keys. Empty keys are
-// skipped.
-func (s *Store) forEachShardBatch(keys []string, fn func(sh *shard, idxs []int)) {
-	if len(s.shards) == 1 {
-		idxs := make([]int, 0, len(keys))
-		for i, k := range keys {
-			if k != "" {
-				idxs = append(idxs, i)
-			}
-		}
-		if len(idxs) > 0 {
-			fn(s.shards[0], idxs)
-		}
-		return
-	}
-	sidx := make([]uint32, len(keys))
-	counts := make([]int, len(s.shards))
-	for i, k := range keys {
-		if k == "" {
-			sidx[i] = ^uint32(0)
-			continue
-		}
-		h := s.shardIndex(k)
-		sidx[i] = h
-		counts[h]++
-	}
-	offsets := make([]int, len(s.shards)+1)
-	for i, c := range counts {
-		offsets[i+1] = offsets[i] + c
-	}
-	order := make([]int, offsets[len(s.shards)])
-	fill := make([]int, len(s.shards))
-	copy(fill, offsets[:len(s.shards)])
-	for i := range keys {
-		if sidx[i] == ^uint32(0) {
-			continue
-		}
-		order[fill[sidx[i]]] = i
-		fill[sidx[i]]++
-	}
-	for si := range s.shards {
-		if counts[si] > 0 {
-			fn(s.shards[si], order[offsets[si]:offsets[si+1]])
-		}
-	}
-}
-
-// Covered returns how many of the given keys Contains reports,
-// resolving the whole slice in one pass per shard.
-func (s *Store) Covered(keys []string) int {
-	n := 0
-	for _, ok := range s.ContainsBatch(keys) {
-		if ok {
-			n++
-		}
-	}
-	return n
+	_, pending := s.writer.pendingGet(key)
+	return pending
 }
 
 // Do returns the bytes for key, computing them at most once across

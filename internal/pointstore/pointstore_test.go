@@ -32,10 +32,13 @@ func TestGetPutRoundTrip(t *testing.T) {
 	if c.Hits != 1 || c.Misses != 0 {
 		t.Errorf("counters = %+v, want 1 hit / 0 misses", c)
 	}
-	if !s.Contains("k") || s.Contains("other") {
-		t.Error("Contains disagrees with contents")
+	if !covered(s, "k") || covered(s, "other") {
+		t.Error("Covered disagrees with contents")
 	}
 }
+
+// covered reports whether Covered counts key.
+func covered(s *Store, key string) bool { return s.Covered([]string{key}) == 1 }
 
 // TestDoCoalescesConcurrentComputes pins the cross-job guarantee:
 // many concurrent Do calls for one key run compute exactly once, the
@@ -124,7 +127,7 @@ func TestDoErrorNotStored(t *testing.T) {
 	if _, err := s.Do("k", func() ([]byte, error) { return nil, wantErr }); err != wantErr {
 		t.Fatalf("err = %v", err)
 	}
-	if s.Contains("k") {
+	if covered(s, "k") {
 		t.Fatal("failed computation was stored")
 	}
 	var ran bool
@@ -140,7 +143,7 @@ func TestEvictionSpillsToDiskAndReloads(t *testing.T) {
 	dir := t.TempDir()
 	// One shard so the tiny budget deterministically forces eviction
 	// (the default shard count splits the budget per shard).
-	s, err := NewWith(64, dir, Options{Shards: 1})
+	s, err := newStore(64, dir, 1, osFS{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +191,7 @@ func TestCorruptDiskEntryDropped(t *testing.T) {
 	if c := s.Counters(); c.VerifyFails != 1 {
 		t.Errorf("verify failures = %d, want 1", c.VerifyFails)
 	}
-	if s.Contains("k") {
+	if covered(s, "k") {
 		t.Error("corrupt entry still indexed")
 	}
 }
@@ -235,7 +238,7 @@ func TestBadIndexStartsCold(t *testing.T) {
 // A stream of write-once entries (finished reports) must not push out
 // an entry that is being read (a hot sweep point).
 func TestClockSparesReferencedEntry(t *testing.T) {
-	s, err := NewWith(30, "", Options{Shards: 1}) // room for three entries
+	s, err := newStore(30, "", 1, osFS{}) // room for three entries
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,11 +253,11 @@ func TestClockSparesReferencedEntry(t *testing.T) {
 	if c := s.Counters(); c.Evictions != 1 {
 		t.Fatalf("evictions = %d, want 1", c.Evictions)
 	}
-	if s.Contains("b") {
+	if covered(s, "b") {
 		t.Error("b (never read) survived; the eviction took another entry")
 	}
 	for _, k := range []string{"a", "c", "d"} {
-		if !s.Contains(k) {
+		if !covered(s, k) {
 			t.Errorf("%s evicted; want b, the oldest unreferenced entry", k)
 		}
 	}
@@ -280,7 +283,7 @@ func TestOversizedEntryBypassesMemory(t *testing.T) {
 // logs once, and SaveIndex reports the loss instead of success.
 func TestSpillFailureCountedAndReported(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "spill")
-	s, err := NewWith(16, dir, Options{Shards: 1})
+	s, err := newStore(16, dir, 1, osFS{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +309,7 @@ func TestSpillFailureCountedAndReported(t *testing.T) {
 	if logged.Load() != 1 {
 		t.Errorf("logged %d spill warnings, want exactly 1 (first failure only)", logged.Load())
 	}
-	if s.Contains("a") {
+	if covered(s, "a") {
 		t.Error("store still claims the lost entry")
 	}
 

@@ -12,7 +12,7 @@ import (
 //
 // The memory tier is a CLOCK (second-chance) ring rather than a
 // strict LRU list: a hit only sets the entry's atomic reference bit,
-// so Get and Contains run entirely under the shard's read lock and
+// so Get and Covered run entirely under the shard's read lock and
 // scale with readers. Eviction sweeps the ring clearing reference
 // bits and evicts the first entry found unreferenced — an LRU
 // approximation that gives hot entries a second chance without

@@ -53,7 +53,7 @@ func mustFinish(t *testing.T, what string, fn func()) {
 // TestBlockedSpillWriteDoesNotStallStore is the acceptance test for
 // the off-lock I/O contract: with the disk's write path stalled
 // mid-spill, every store operation that does not itself need the disk
-// — memory-tier Get/Contains, reads of the evicted-but-pinned entry,
+// — memory-tier Get/Covered, reads of the evicted-but-pinned entry,
 // further Puts — completes promptly. Before the rewrite the spill ran
 // inside the store lock, so a slow disk stalled every caller.
 func TestBlockedSpillWriteDoesNotStallStore(t *testing.T) {
@@ -67,7 +67,7 @@ func TestBlockedSpillWriteDoesNotStallStore(t *testing.T) {
 		}
 		return nil
 	}}
-	s, err := NewWith(64, dir, Options{Shards: 1, fs: fs})
+	s, err := newStore(64, dir, 1, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,9 +92,9 @@ func TestBlockedSpillWriteDoesNotStallStore(t *testing.T) {
 			t.Error("evicted-but-unspilled entry must be served from the pin")
 		}
 	})
-	mustFinish(t, "Contains", func() {
-		if !s.Contains("a") || !s.Contains("b") {
-			t.Error("Contains lost entries during a stalled spill")
+	mustFinish(t, "Covered", func() {
+		if !covered(s, "a") || !covered(s, "b") {
+			t.Error("Covered lost entries during a stalled spill")
 		}
 	})
 	mustFinish(t, "Put", func() { s.Put("c", payload(3)) })
@@ -118,7 +118,7 @@ func TestBlockedSpillWriteDoesNotStallStore(t *testing.T) {
 	}()
 	close(release)
 	s.Flush()
-	if !s.Contains("a") {
+	if !covered(s, "a") {
 		t.Error("entry lost after the stalled spill completed")
 	}
 	if err := s.Close(); err != nil {
@@ -142,7 +142,7 @@ func TestFailingDiskDoesNotStallGet(t *testing.T) {
 		}
 		return nil
 	}}
-	s, err := NewWith(64, dir, Options{Shards: 1, fs: fs})
+	s, err := newStore(64, dir, 1, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestDiskReadRunsOffLock(t *testing.T) {
 			<-release
 		}
 	}}
-	s, err := NewWith(64, dir, Options{Shards: 1, fs: fs})
+	s, err := newStore(64, dir, 1, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,19 +228,76 @@ func TestDiskReadRunsOffLock(t *testing.T) {
 	}
 }
 
-// TestBatchLookups pins ContainsBatch/GetBatch semantics: results are
-// index-aligned, empty keys resolve to absent, disk and pending
-// entries are visible, and GetBatch counts one hit per resolved key
-// and no misses (the Do calls that follow own the miss accounting).
+// TestBatchReadsSeeWedgedSpill: while an evicted entry's spill write
+// is stalled, GetBatch and Covered still find it in the writer's pin,
+// promptly, and Covered still counts nothing.
+func TestBatchReadsSeeWedgedSpill(t *testing.T) {
+	dir := t.TempDir()
+	entered := make(chan string, 16)
+	release := make(chan struct{})
+	fs := hookFS{write: func(name string) error {
+		if strings.HasSuffix(name, ".bin") {
+			entered <- name
+			<-release
+		}
+		return nil
+	}}
+	s, err := newStore(64, dir, 1, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 48) }
+	s.Put("a", payload(1))
+	s.Put("b", payload(2)) // evicts "a"; its spill hangs in WriteFile
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("spill writer never reached the disk")
+	}
+	if s.SpillPending() != 1 {
+		t.Fatalf("SpillPending = %d, want the wedged entry", s.SpillPending())
+	}
+
+	keys := []string{"a", "b", "absent"}
+	before := s.Counters()
+	mustFinish(t, "Covered", func() {
+		if n := s.Covered(keys); n != 2 {
+			t.Errorf("Covered = %d, want 2 (the pinned and the resident entry)", n)
+		}
+	})
+	if s.Counters() != before {
+		t.Error("Covered changed the counters")
+	}
+	mustFinish(t, "GetBatch", func() {
+		got := s.GetBatch(keys)
+		if !bytes.Equal(got[0], payload(1)) || !bytes.Equal(got[1], payload(2)) || got[2] != nil {
+			t.Error("GetBatch must serve the pinned entry and the resident one, and nothing else")
+		}
+	})
+	if c := s.Counters(); c.Hits-before.Hits != 2 || c.Misses != before.Misses {
+		t.Errorf("GetBatch counters = %+v, want 2 more hits and no misses", c)
+	}
+
+	close(release)
+	s.Flush()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBatchLookups pins GetBatch and Covered semantics: results are
+// index-aligned, empty keys resolve to absent, disk entries are
+// visible, GetBatch counts one hit per found key and no misses (the Do
+// calls that follow own the miss accounting), and Covered counts
+// nothing.
 func TestBatchLookups(t *testing.T) {
 	dir := t.TempDir()
-	s, err := NewWith(64, dir, Options{Shards: 4})
+	s, err := newStore(64, dir, 4, osFS{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Put("mem", []byte("in-memory"))
-	// Disk-only entry: stored via a zero-budget sibling shard path —
-	// simplest is an oversized payload, which bypasses memory.
+	// Disk-only entry: an oversized payload bypasses memory.
 	big := bytes.Repeat([]byte{5}, 128)
 	s.Put("disk", big)
 	s.Flush()
@@ -248,17 +305,14 @@ func TestBatchLookups(t *testing.T) {
 	keys := []string{"mem", "", "absent", "disk", "mem"}
 	wantOK := []bool{true, false, false, true, true}
 
-	cb := s.ContainsBatch(keys)
-	for i := range keys {
-		if cb[i] != wantOK[i] {
-			t.Errorf("ContainsBatch[%d] (%q) = %v, want %v", i, keys[i], cb[i], wantOK[i])
-		}
-	}
+	before := s.Counters()
 	if got, want := s.Covered(keys), 3; got != want {
 		t.Errorf("Covered = %d, want %d", got, want)
 	}
+	if s.Counters() != before {
+		t.Error("Covered changed the counters")
+	}
 
-	before := s.Counters()
 	gb := s.GetBatch(keys)
 	for i := range keys {
 		if (gb[i] != nil) != wantOK[i] {
@@ -283,7 +337,7 @@ func TestBatchLookups(t *testing.T) {
 // TestCrossShardSingleFlight pins exactly-one-compute-per-key with
 // keys spread across every shard and many racing callers per key.
 func TestCrossShardSingleFlight(t *testing.T) {
-	s, err := NewWith(1<<20, "", Options{Shards: 8})
+	s, err := newStore(1<<20, "", 8, osFS{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,10 +385,11 @@ func TestCrossShardSingleFlight(t *testing.T) {
 // races and deadlocks, and byte identity on every successful read.
 func TestShardedStoreHammer(t *testing.T) {
 	dir := t.TempDir()
-	s, err := NewWith(4<<10, dir, Options{Shards: 4, SpillQueue: 8})
+	s, err := newStore(4<<10, dir, 4, osFS{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.writer.max = 8 // a short spill queue keeps producers waiting on backpressure
 	const nkeys = 64
 	keys := make([]string, nkeys)
 	want := make([][]byte, nkeys)

@@ -12,7 +12,7 @@ type spillReq struct {
 
 // spillWriter moves every spill write off the shard locks. Evicting a
 // memory entry only appends a request here; the payload stays pinned
-// in the pending table — still served by Get/Contains/Do — until the
+// in the pending table — still served by Get/Covered/Do — until the
 // background goroutine has durably written it (or the write failed and
 // was counted in SpillFails). The queue is bounded: producers that
 // create new entries (Put, Do leaders) wait below the cap off-lock,
@@ -73,7 +73,7 @@ func (w *spillWriter) pendingCount() int {
 
 // waitCapacity blocks the caller until the backlog is below the cap.
 // Called off-lock from entry-creating paths only (Put, Do leaders) —
-// never from Get/Contains — so a slow disk throttles producers without
+// never from reads — so a slow disk throttles producers without
 // stalling reads.
 func (w *spillWriter) waitCapacity() {
 	w.mu.Lock()
@@ -86,26 +86,33 @@ func (w *spillWriter) waitCapacity() {
 func (w *spillWriter) loop() {
 	defer close(w.exited)
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	for {
 		for len(w.queue) == 0 && !w.closed {
 			w.cond.Wait()
 		}
 		if len(w.queue) == 0 {
-			w.mu.Unlock()
 			return
 		}
-		req := w.queue[0]
-		w.queue = w.queue[1:]
-		w.writing++
-		w.mu.Unlock()
-
-		w.st.writeEntry(req.sh, req.key, req.data)
-
-		w.mu.Lock()
-		w.writing--
-		delete(w.pending, req.key)
-		w.cond.Broadcast()
+		w.drainOne()
 	}
+}
+
+// drainOne is the drain step: pop the oldest request, write it with
+// w.mu released, then unpin it. The caller holds w.mu and has checked
+// that the queue is non-empty; drainOne returns with w.mu held.
+func (w *spillWriter) drainOne() {
+	req := w.queue[0]
+	w.queue = w.queue[1:]
+	w.writing++
+	w.mu.Unlock()
+
+	w.st.writeEntry(req.sh, req.key, req.data)
+
+	w.mu.Lock()
+	w.writing--
+	delete(w.pending, req.key)
+	w.cond.Broadcast()
 }
 
 // flush blocks until every queued spill has been attempted. If the
@@ -114,18 +121,8 @@ func (w *spillWriter) loop() {
 func (w *spillWriter) flush() {
 	w.mu.Lock()
 	for {
-		if w.closed {
-			for len(w.queue) > 0 {
-				req := w.queue[0]
-				w.queue = w.queue[1:]
-				w.writing++
-				w.mu.Unlock()
-				w.st.writeEntry(req.sh, req.key, req.data)
-				w.mu.Lock()
-				w.writing--
-				delete(w.pending, req.key)
-				w.cond.Broadcast()
-			}
+		for w.closed && len(w.queue) > 0 {
+			w.drainOne()
 		}
 		if len(w.queue)+w.writing == 0 {
 			break

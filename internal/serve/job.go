@@ -178,9 +178,9 @@ func (q Request) validate() error {
 		vals []int
 		max  int
 	}{
-		{"f", q.F, 4096},
-		{"r", q.R, 1 << 20},
-		{"l", q.L, 1 << 20},
+		{"f", q.F, experiment.MaxF},
+		{"r", q.R, experiment.MaxR},
+		{"l", q.L, experiment.MaxL},
 	} {
 		if len(axis.vals) > maxGridLen {
 			return fmt.Errorf("grid %s has %d values (max %d)", axis.name, len(axis.vals), maxGridLen)

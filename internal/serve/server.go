@@ -44,15 +44,6 @@ type Config struct {
 	// PointCacheDir, when non-empty, holds the result store's disk
 	// spill tier and persisted index (points.json).
 	PointCacheDir string
-	// PointCacheShards sets the point store's shard count (rounded up
-	// to a power of two). 0 picks a count matched to GOMAXPROCS. More
-	// shards reduce lock contention between worker goroutines resolving
-	// points concurrently.
-	PointCacheShards int
-	// PointCacheSpillQueue bounds the point store's async spill-writer
-	// backlog, in entries (0 = the store default). Entry-creating calls
-	// throttle past it; reads never block on it.
-	PointCacheSpillQueue int
 	// JobRetention is how long a terminal job (and its result bytes)
 	// stays queryable by ID after finishing (default 15 minutes). The
 	// content-addressed cache keeps the result itself far longer; only
@@ -62,8 +53,6 @@ type Config struct {
 	// are pruned regardless of age (default 1024). Non-terminal jobs
 	// are never pruned — they are already bounded by QueueCap + Workers.
 	MaxJobs int
-	// MaxBodyBytes bounds request bodies (default 1 MiB).
-	MaxBodyBytes int64
 	// DefaultFidelity, when non-empty, is applied to submissions that
 	// do not name a measurement tier themselves: "sim", "machine",
 	// "analytic", or "adaptive". Empty keeps the wire default ("sim").
@@ -114,9 +103,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PointCacheBytes == 0 {
 		c.PointCacheBytes = 32 << 20
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
 	}
 	if c.JobRetention <= 0 {
 		c.JobRetention = 15 * time.Minute
@@ -173,10 +159,7 @@ func New(cfg Config) (*Server, error) {
 	var points *pointstore.Store
 	if cfg.PointCacheBytes > 0 {
 		var err error
-		points, err = pointstore.NewWith(cfg.PointCacheBytes, cfg.PointCacheDir, pointstore.Options{
-			Shards:     cfg.PointCacheShards,
-			SpillQueue: cfg.PointCacheSpillQueue,
-		})
+		points, err = pointstore.New(cfg.PointCacheBytes, cfg.PointCacheDir)
 		if err != nil {
 			return nil, err
 		}
@@ -866,8 +849,11 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"experiments": out})
 }
 
+// maxBodyBytes bounds a submission's request body (1 MiB).
+const maxBodyBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	var req Request
