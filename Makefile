@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet fmt-check lint-asm lint-asm-sarif bench bench-json bench-smoke bench-gate examples figures data data-check serve-smoke load-smoke cluster-smoke cluster-bench clean
+.PHONY: all build test test-race vet fmt-check lint-asm lint-asm-sarif bench bench-json bench-smoke bench-gate examples figures data data-check serve-smoke load-smoke cluster-smoke fuzz-smoke clean
 
 all: test
 
@@ -54,12 +54,6 @@ load-smoke:
 cluster-smoke:
 	./scripts/cluster_smoke.sh
 
-# Cluster scaling benchmark under the -compute-rate capacity model:
-# cold-sweep points/s through 1 node vs 3 workers, appended to
-# BENCH_PR8.json as ServeLoad snapshots.
-cluster-bench:
-	./scripts/cluster_bench.sh
-
 # Static-analyze every assembly routine the repo ships: the kernel
 # runtime (Figure 3 switch, load/unload), the context allocators, the
 # Multi-RRM manager stubs, and the example programs — in whole-program
@@ -91,6 +85,17 @@ bench-json:
 # runs this; it is not a performance measurement.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# Fuzz every Fuzz* target for 10 s beyond its seed corpus, which
+# `make test` already runs. go test -fuzz takes one target per run, so
+# each is found by name and run from its own directory (any module).
+fuzz-smoke:
+	@set -e; for f in $$(git ls-files '*_test.go'); do \
+		for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+			echo "== $$t ($$(dirname $$f))"; \
+			(cd $$(dirname $$f) && $(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime 10s .); \
+		done; \
+	done
 
 # Serving-throughput regression gate: the pinned serve benchmarks must
 # stay within 15% of the best points/s recorded for this machine class

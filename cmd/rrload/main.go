@@ -59,14 +59,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		tenants  = fs.Int("tenants", 1, "distinct X-RR-Tenant identities cycled across clients")
 		wait     = fs.Bool("wait", true, "poll each accepted job to a terminal state (time-to-result)")
 		label    = fs.String("label", "rrload", "snapshot label for -out")
-		snapLbl  = fs.String("snapshot-label", "", "snapshot label for -out; wins over -label (lets wrapper scripts pin a label without disturbing positional defaults)")
 		out      = fs.String("out", "", "append a bench_json-style JSON snapshot to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if *snapLbl != "" {
-		*label = *snapLbl
 	}
 	if *clients < 1 || *duration <= 0 || *overlap < 0 || *overlap > 1 || *tenants < 1 {
 		fmt.Fprintln(stderr, "rrload: need -clients >= 1, -duration > 0, -overlap in [0,1], -tenants >= 1")

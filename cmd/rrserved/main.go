@@ -12,7 +12,7 @@
 //
 // Cluster mode (see docs/cluster.md): -role worker additionally serves
 // the shard compute API at /v1/cluster/compute; -role coordinator
-// fans sweep points out to -cluster-workers over consistent hashing,
+// fans sweep points out to -cluster-workers by rendezvous hashing,
 // with health probing, retries, and hedged requests. The job API and
 // its results are identical in every role.
 //
@@ -52,7 +52,6 @@ import (
 	"time"
 
 	"regreloc/internal/cluster"
-	"regreloc/internal/experiment"
 	"regreloc/internal/serve"
 )
 
@@ -103,7 +102,6 @@ func run(args []string, stderr io.Writer, stop <-chan struct{}, ready chan<- str
 		hedgeMax      = fs.Float64("cluster-hedge-max", 0, "max hedged batches as a fraction of batches sent (0 = 0.1)")
 		clusterRetry  = fs.Int("cluster-retries", 0, "failed-batch re-sends against surviving workers (0 = 2, negative disables)")
 		probeInterval = fs.Duration("cluster-probe-interval", 0, "worker health probe spacing (0 = 2s)")
-		computeRate   = fs.Float64("compute-rate", 0, "cap fresh point simulations per second on this node (0 = unlimited); the per-node capacity model for cluster benchmarking")
 		fidelity      = fs.String("fidelity", "", "default measurement tier for submissions that do not set one: sim, machine, analytic, or adaptive (empty = sim)")
 		mtxProf       = fs.String("mutexprofile", "", "write a mutex-contention profile to this file on clean shutdown")
 		blkProf       = fs.String("blockprofile", "", "write a goroutine-blocking profile to this file on clean shutdown")
@@ -149,14 +147,6 @@ func run(args []string, stderr io.Writer, stop <-chan struct{}, ready chan<- str
 		defer writeLookupProfile(stderr, "block", *blkProf)
 	}
 
-	// NewRateLimiter returns a typed nil for rate <= 0; only a non-nil
-	// limiter may cross into the Limiter interface, or the engine would
-	// call Acquire on a nil receiver.
-	var computeLimit experiment.Limiter
-	if rl := cluster.NewRateLimiter(*computeRate); rl != nil {
-		computeLimit = rl
-	}
-
 	// Coordinator fan-out client: built before the server so its
 	// ReadyCheck and metrics hook into the serving layer's endpoints.
 	var cl *cluster.Client
@@ -197,7 +187,6 @@ func run(args []string, stderr io.Writer, stop <-chan struct{}, ready chan<- str
 		TenantWeights:     weights,
 		TenantMaxInflight: *tenantMax,
 		Logger:            logger,
-		ComputeLimit:      computeLimit,
 		DefaultFidelity:   *fidelity,
 	}
 	if cl != nil {
@@ -232,7 +221,6 @@ func run(args []string, stderr io.Writer, stop <-chan struct{}, ready chan<- str
 			mux.Handle(cluster.ComputePath, cluster.NewWorker(cluster.WorkerConfig{
 				Points:       srv.Points(),
 				PointWorkers: *pointWorkers,
-				ComputeLimit: computeLimit,
 				Logf:         logger.Printf,
 			}))
 		}

@@ -32,6 +32,9 @@ const (
 	retryBackoff = 100 * time.Millisecond
 	// probeTimeout bounds one health probe.
 	probeTimeout = time.Second
+	// ejectAfter is how many consecutive failures, probe or compute,
+	// take a worker out of placement.
+	ejectAfter = 2
 )
 
 // httpClient carries every request to the workers. It has no global
@@ -49,10 +52,10 @@ type Config struct {
 	// larger ones amortize HTTP overhead.
 	BatchSize int
 	// Retries is how many times a failed batch is re-sent, each time
-	// re-hashed onto the surviving workers (0 = 2; negative disables).
+	// re-placed on the surviving workers (0 = 2; negative disables).
 	Retries int
 	// HedgeAfter launches a duplicate of a still-unanswered batch on
-	// the next ring successor after this long (0 = 500ms; negative
+	// the next-ranked healthy worker after this long (0 = 500ms; negative
 	// disables hedging). First response wins; results dedupe by point
 	// key, so a double answer is harmless by construction.
 	HedgeAfter time.Duration
@@ -62,9 +65,6 @@ type Config struct {
 	HedgeMax float64
 	// ProbeInterval spaces health probes (0 = 2s).
 	ProbeInterval time.Duration
-	// EjectAfter ejects a worker from the ring after this many
-	// consecutive failures, probe or compute (0 = 2).
-	EjectAfter int
 	// Logf receives operational messages (ejections, re-admissions,
 	// give-ups); nil uses the standard logger.
 	Logf func(format string, args ...any)
@@ -89,9 +89,6 @@ func (c Config) withDefaults() Config {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 2 * time.Second
 	}
-	if c.EjectAfter <= 0 {
-		c.EjectAfter = 2
-	}
 	if c.Logf == nil {
 		c.Logf = log.Printf
 	}
@@ -101,7 +98,7 @@ func (c Config) withDefaults() Config {
 // workerState tracks one configured worker's health and stats. Guarded
 // by Client.mu.
 type workerState struct {
-	url         string
+	member
 	up          bool
 	consecFails int
 	batches     int64 // compute requests sent
@@ -113,13 +110,17 @@ type workerState struct {
 // is safe for concurrent use by many sweeps; Start the prober before
 // first use and Stop it on shutdown.
 type Client struct {
-	cfg  Config
-	ring *Ring
-	sem  chan struct{} // bounds in-flight compute requests
+	cfg Config
+	sem chan struct{} // bounds in-flight compute requests
 
 	mu      sync.Mutex
 	workers map[string]*workerState
 	order   []string // configured order, for stable metrics output
+	// healthy lists the workers whose up is set, in configured order:
+	// placement ranks them. setUpLocked replaces the slice whenever up
+	// changes and never edits it in place, so a reader may keep using
+	// the slice it read after releasing mu.
+	healthy []member
 
 	// Counters (guarded by mu).
 	batches    int64 // batch attempts started (incl. retries, excl. hedges)
@@ -136,7 +137,7 @@ type Client struct {
 }
 
 // New validates the worker list and returns an unstarted client: all
-// workers begin down and join the ring as probes succeed (call Start,
+// workers begin down and join placement as probes succeed (call Start,
 // or ProbeNow for one synchronous round).
 func New(cfg Config) (*Client, error) {
 	cfg = cfg.withDefaults()
@@ -145,7 +146,6 @@ func New(cfg Config) (*Client, error) {
 	}
 	c := &Client{
 		cfg:     cfg,
-		ring:    NewRing(defaultVNodes),
 		sem:     make(chan struct{}, maxInflight),
 		workers: make(map[string]*workerState),
 		stop:    make(chan struct{}),
@@ -160,7 +160,7 @@ func New(cfg Config) (*Client, error) {
 		if _, dup := c.workers[w]; dup {
 			return nil, fmt.Errorf("cluster: duplicate worker %q", w)
 		}
-		c.workers[w] = &workerState{url: w, lat: stats.NewHistogram(batchLatencyBounds...)}
+		c.workers[w] = &workerState{member: member{url: w, hash: hash64(w)}, lat: stats.NewHistogram(batchLatencyBounds...)}
 		c.order = append(c.order, w)
 	}
 	return c, nil
@@ -234,8 +234,8 @@ func (c *Client) probe(worker string) error {
 
 // noteResult applies one observation of a worker — a probe or a
 // compute attempt — to its health state: success re-admits a down
-// worker immediately (it answered; cache affinity wants it back on the
-// ring fast), EjectAfter consecutive failures eject an up one.
+// worker immediately (it answered; cache affinity wants its keys back
+// on it fast), ejectAfter consecutive failures eject an up one.
 func (c *Client) noteResult(worker string, err error, kind string) {
 	c.mu.Lock()
 	ws, ok := c.workers[worker]
@@ -246,8 +246,7 @@ func (c *Client) noteResult(worker string, err error, kind string) {
 	if err == nil {
 		ws.consecFails = 0
 		if !ws.up {
-			ws.up = true
-			c.ring.Add(worker)
+			c.setUpLocked(ws, true)
 			c.mu.Unlock()
 			c.cfg.Logf("cluster: worker %s admitted (%s ok)", worker, kind)
 			return
@@ -256,9 +255,8 @@ func (c *Client) noteResult(worker string, err error, kind string) {
 		return
 	}
 	ws.consecFails++
-	if ws.up && ws.consecFails >= c.cfg.EjectAfter {
-		ws.up = false
-		c.ring.Remove(worker)
+	if ws.up && ws.consecFails >= ejectAfter {
+		c.setUpLocked(ws, false)
 		fails := ws.consecFails
 		c.mu.Unlock()
 		c.cfg.Logf("cluster: worker %s ejected after %d consecutive failures (%s: %v)", worker, fails, kind, err)
@@ -267,8 +265,27 @@ func (c *Client) noteResult(worker string, err error, kind string) {
 	c.mu.Unlock()
 }
 
-// HealthyCount returns how many workers are currently on the ring.
-func (c *Client) HealthyCount() int { return c.ring.Len() }
+// setUpLocked sets a worker's up bit and rebuilds the healthy list
+// from the up bits. Caller holds c.mu.
+func (c *Client) setUpLocked(ws *workerState, up bool) {
+	ws.up = up
+	c.healthy = nil // append below allocates afresh; readers keep the old slice
+	for _, name := range c.order {
+		if w := c.workers[name]; w.up {
+			c.healthy = append(c.healthy, w.member)
+		}
+	}
+}
+
+// healthyNow returns the current healthy list (see Client.healthy).
+func (c *Client) healthyNow() []member {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.healthy
+}
+
+// HealthyCount returns how many workers are currently healthy.
+func (c *Client) HealthyCount() int { return len(c.healthyNow()) }
 
 // WorkerCount returns how many workers are configured.
 func (c *Client) WorkerCount() int { return len(c.order) }
@@ -277,7 +294,7 @@ func (c *Client) WorkerCount() int { return len(c.order) }
 // Coordinator /readyz delegates here so load balancers do not route
 // jobs to an empty cluster.
 func (c *Client) Ready(quorum int) error {
-	if n := c.ring.Len(); n < quorum {
+	if n := len(c.healthyNow()); n < quorum {
 		return fmt.Errorf("cluster: %d/%d workers healthy, quorum %d", n, len(c.order), quorum)
 	}
 	return nil
@@ -291,33 +308,28 @@ type batch struct {
 }
 
 // ComputePoints implements experiment.PointComputer: partition the
-// sweep's points by ring owner, fan the batches out with bounded
+// sweep's points by owner, fan the batches out with bounded
 // concurrency, hedge stragglers, retry failures against surviving
 // workers, and emit every verified result. Points that end up
 // unanswered are simply not emitted — the engine simulates them
 // locally.
 func (c *Client) ComputePoints(ctx context.Context, sweep experiment.RemoteSweep, emit func(key string, data []byte)) error {
+	// One read of the healthy list places the whole sweep, so an
+	// ejection mid-partition cannot split it across two memberships.
+	c.mu.Lock()
+	healthy := c.healthy
+	if len(healthy) == 0 {
+		c.unplaced += int64(len(sweep.Points))
+	}
+	c.mu.Unlock()
+	if len(healthy) == 0 && len(sweep.Points) > 0 {
+		c.cfg.Logf("cluster: %d points unplaced (no healthy workers); computing locally", len(sweep.Points))
+		return fmt.Errorf("cluster: no healthy workers")
+	}
 	assign := make(map[string][]experiment.RemotePoint)
-	var unplaced int64
 	for _, p := range sweep.Points {
-		owner, ok := c.ring.Owner(p.Key)
-		if !ok {
-			unplaced++
-			continue
-		}
+		owner := owners(p.Key, healthy, 1)[0]
 		assign[owner] = append(assign[owner], p)
-	}
-	if unplaced > 0 {
-		c.mu.Lock()
-		c.unplaced += unplaced
-		c.mu.Unlock()
-		c.cfg.Logf("cluster: %d points unplaced (no healthy workers); computing locally", unplaced)
-	}
-	if len(assign) == 0 {
-		if unplaced > 0 {
-			return fmt.Errorf("cluster: no healthy workers")
-		}
-		return nil
 	}
 
 	var batches []batch
@@ -366,9 +378,10 @@ func (c *Client) ComputePoints(ctx context.Context, sweep experiment.RemoteSweep
 }
 
 // runBatch drives one batch to completion: primary attempt (hedged if
-// slow), then up to Retries re-sends against the batch key's current
-// ring successors with linear backoff. Exhausting every attempt leaves
-// the batch's points to the engine's local fallback.
+// slow), then up to Retries re-sends with linear backoff, attempt k to
+// the batch key's k-th ranked (from 0) currently healthy worker.
+// Exhausting every attempt leaves the batch's points to the engine's
+// local fallback.
 func (c *Client) runBatch(ctx context.Context, sweep experiment.RemoteSweep, b batch, emit func(string, []byte)) {
 	target := b.owner
 	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
@@ -379,11 +392,11 @@ func (c *Client) runBatch(ctx context.Context, sweep experiment.RemoteSweep, b b
 			if !sleepCtx(ctx, time.Duration(attempt)*retryBackoff) {
 				return
 			}
-			// Re-hash against current membership: the original owner may
+			// Re-rank against current membership: the original owner may
 			// have been ejected since (possibly by this very batch's
-			// failure). Prefer successive distinct nodes so repeated
-			// retries spread instead of hammering one survivor.
-			targets := c.ring.Owners(b.pts[0].Key, attempt+1)
+			// failure). Successive attempts take successive ranks so
+			// repeated retries spread instead of hammering one survivor.
+			targets := owners(b.pts[0].Key, c.healthyNow(), attempt+1)
 			if len(targets) == 0 {
 				c.cfg.Logf("cluster: batch of %d points abandoned, no healthy workers", len(b.pts))
 				return
@@ -413,8 +426,8 @@ type sendResult struct {
 	err     error
 }
 
-// sendHedged sends the batch to target, launching one hedge on the
-// next distinct ring successor if no response lands within HedgeAfter
+// sendHedged sends the batch to target, launching one hedge on another
+// healthy worker (hedgeTarget) if no response lands within HedgeAfter
 // (budget permitting). First usable response wins and cancels the
 // loser; results from either are identical by construction, so the
 // race needs no reconciliation.
@@ -481,13 +494,15 @@ func (c *Client) sendHedged(ctx context.Context, sweep experiment.RemoteSweep, b
 	}
 }
 
-// hedgeTarget picks the hedge destination — the first healthy ring
-// successor distinct from the primary — and spends hedge budget.
-// Budget: hedges may not exceed HedgeMax of batches sent, but the
-// first hedge is always allowed.
+// hedgeTarget picks the hedge destination — the batch key's
+// best-ranked healthy worker other than the primary — and spends hedge
+// budget. Budget: hedges may not exceed HedgeMax of batches sent, but
+// the first hedge is always allowed.
 func (c *Client) hedgeTarget(b batch, primary string) (string, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	var alt string
-	for _, w := range c.ring.Owners(b.pts[0].Key, 2) {
+	for _, w := range owners(b.pts[0].Key, c.healthy, 2) {
 		if w != primary {
 			alt = w
 			break
@@ -496,8 +511,6 @@ func (c *Client) hedgeTarget(b batch, primary string) (string, bool) {
 	if alt == "" {
 		return "", false
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	budget := int64(c.cfg.HedgeMax * float64(c.batches))
 	if budget < 1 {
 		budget = 1
@@ -590,7 +603,7 @@ func (c *Client) WriteProm(w io.Writer) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	fmt.Fprintf(w, "# HELP rrserve_cluster_worker_up Worker ring membership (1 = healthy).\n# TYPE rrserve_cluster_worker_up gauge\n")
+	fmt.Fprintf(w, "# HELP rrserve_cluster_worker_up Worker health (1 = healthy).\n# TYPE rrserve_cluster_worker_up gauge\n")
 	for _, name := range c.order {
 		up := 0
 		if c.workers[name].up {
@@ -622,7 +635,7 @@ func (c *Client) WriteProm(w io.Writer) {
 	counter := func(name, help string, v int64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
-	fmt.Fprintf(w, "# HELP rrserve_cluster_workers_healthy Workers currently on the ring.\n# TYPE rrserve_cluster_workers_healthy gauge\nrrserve_cluster_workers_healthy %d\n", c.ring.Len())
+	fmt.Fprintf(w, "# HELP rrserve_cluster_workers_healthy Workers currently healthy.\n# TYPE rrserve_cluster_workers_healthy gauge\nrrserve_cluster_workers_healthy %d\n", len(c.healthy))
 	counter("rrserve_cluster_batches_total", "Batch attempts started (including retries).", c.batches)
 	counter("rrserve_cluster_batch_failures_total", "Batch attempts that returned no usable response.", c.batchFails)
 	counter("rrserve_cluster_retries_total", "Batch re-sends after a failed attempt.", c.retries)

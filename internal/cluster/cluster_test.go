@@ -95,7 +95,7 @@ func runJob(t *testing.T, cfg serve.Config) []byte {
 	}
 	s.Start()
 	defer s.Shutdown(context.Background())
-	// 32 cells: workers listen on random ports, so ring ownership is
+	// 32 cells: workers listen on random ports, so key ownership is
 	// random per run, and the worker-death and hedging tests need their
 	// faulty worker to own a batch. With 8 cells, one of three workers
 	// owned none in about one run in ten.
@@ -258,11 +258,57 @@ func TestClusterVersionSkewFallsBackLocally(t *testing.T) {
 	}
 }
 
+// TestDownWorkerReceivesNoCompute pins placement to the healthy
+// workers: one that has not passed a probe gets no compute request —
+// no primary, retry or hedge — during a sweep that retries and hedges,
+// and gets requests once a probe admits it.
+func TestDownWorkerReceivesNoCompute(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real sweeps")
+	}
+	down := newTestWorker(t, nil)
+	down.ready.Store(false)
+	failing := newTestWorker(t, func(h http.Handler, rw http.ResponseWriter, r *http.Request) {
+		http.Error(rw, "compute broken", http.StatusInternalServerError)
+	})
+	slowly := func(h http.Handler, rw http.ResponseWriter, r *http.Request) {
+		time.Sleep(200 * time.Millisecond)
+		h.ServeHTTP(rw, r)
+	}
+	slow1, slow2 := newTestWorker(t, slowly), newTestWorker(t, slowly)
+	cl := newClient(t, cluster.Config{
+		Workers: urls(down, failing, slow1, slow2),
+		// One-point batches: every key picks its own primary, retry
+		// and hedge target. failing's batches are retried; the slow
+		// workers' batches are hedged to each other.
+		BatchSize:  1,
+		HedgeAfter: 10 * time.Millisecond,
+		HedgeMax:   1.0,
+	})
+	if got := cl.HealthyCount(); got != 3 {
+		t.Fatalf("healthy = %d after Start, want 3", got)
+	}
+	runJob(t, serve.Config{Remote: cl})
+	if n := down.computes.Load(); n != 0 {
+		t.Fatalf("down worker received %d compute requests", n)
+	}
+	if c := cl.Counters(); c.Retries == 0 || c.Hedges == 0 {
+		t.Fatalf("sweep exercised no retry or no hedge: %+v", c)
+	}
+
+	down.ready.Store(true)
+	cl.ProbeNow()
+	runJob(t, serve.Config{Remote: cl})
+	if down.computes.Load() == 0 {
+		t.Fatal("admitted worker received no compute request")
+	}
+}
+
 // TestProbeEjectsAndReadmits drives the health prober through a
 // worker's outage and recovery.
 func TestProbeEjectsAndReadmits(t *testing.T) {
 	w := newTestWorker(t, nil)
-	cl := newClient(t, cluster.Config{Workers: urls(w), EjectAfter: 2})
+	cl := newClient(t, cluster.Config{Workers: urls(w)})
 
 	if cl.HealthyCount() != 1 {
 		t.Fatalf("healthy = %d after Start, want 1", cl.HealthyCount())
@@ -272,16 +318,16 @@ func TestProbeEjectsAndReadmits(t *testing.T) {
 	}
 
 	w.ready.Store(false)
-	cl.ProbeNow() // first failure: below EjectAfter, still on the ring
+	cl.ProbeNow() // first failure: still healthy
 	if cl.HealthyCount() != 1 {
-		t.Fatal("ejected after a single failed probe with EjectAfter=2")
+		t.Fatal("ejected after a single failed probe")
 	}
 	cl.ProbeNow() // second consecutive failure: ejected
 	if cl.HealthyCount() != 0 {
-		t.Fatal("not ejected after EjectAfter consecutive failures")
+		t.Fatal("not ejected after two consecutive failures")
 	}
 	if err := cl.Ready(1); err == nil {
-		t.Fatal("Ready(1) nil with an empty ring")
+		t.Fatal("Ready(1) nil with no healthy worker")
 	}
 
 	w.ready.Store(true)
@@ -298,7 +344,7 @@ func TestCoordinatorReadyzQuorum(t *testing.T) {
 	w1, w2 := newTestWorker(t, nil), newTestWorker(t, nil)
 	w1.ready.Store(false)
 	w2.ready.Store(false)
-	cl := newClient(t, cluster.Config{Workers: urls(w1, w2), EjectAfter: 1})
+	cl := newClient(t, cluster.Config{Workers: urls(w1, w2)})
 
 	s, err := serve.New(serve.Config{
 		QueueCap: 4, Workers: 1, JobTimeout: time.Minute,

@@ -2,11 +2,12 @@
 // rrserved worker processes. It has two halves:
 //
 //   - Client (coordinator side) implements experiment.PointComputer:
-//     it consistent-hashes point keys onto healthy workers, fans out
-//     batched HTTP compute requests, hedges stragglers, retries failed
-//     batches against surviving workers, and streams verified results
-//     back to the engine. Health probing ejects unresponsive workers
-//     from the ring and re-admits them when they recover.
+//     it places point keys on healthy workers by rendezvous hashing,
+//     fans out batched HTTP compute requests, hedges stragglers,
+//     retries failed batches against surviving workers, and streams
+//     verified results back to the engine. Health probing ejects
+//     unresponsive workers from placement and re-admits them when they
+//     recover.
 //
 //   - Worker (worker side) serves the shard-scoped compute API: it
 //     receives explicit cell lists and computes them through the
@@ -15,7 +16,7 @@
 // Safety rests on the point store's content-addressing: every cell is
 // a pure function of its SHA-256 key, workers derive their own keys
 // (folding in their engine version), and the coordinator matches
-// results by key — so duplicated hedges dedupe trivially, a re-hashed
+// results by key — so duplicated hedges dedupe trivially, a re-placed
 // retry recomputes identical bytes, and a version-skewed worker's
 // results are dropped instead of mixed in. Anything the cluster fails
 // to deliver is simulated locally by the coordinator's engine; the
@@ -25,46 +26,15 @@ package cluster
 import (
 	"hash/fnv"
 	"sort"
-	"strconv"
-	"sync"
 )
 
-// defaultVNodes is the virtual-node count per worker. 128 vnodes keeps
-// the key-share imbalance across a handful of workers within a few
-// percent (see TestRingUniformity) while membership changes stay
-// cheap: adding or removing a worker rewrites only its own vnodes.
-const defaultVNodes = 128
-
-// Ring is a consistent-hash ring with virtual nodes. A key's owner is
-// the first vnode clockwise from the key's hash; removing a node
-// reassigns only that node's key share to the survivors (bounded key
-// movement), which is what keeps worker point-store caches warm across
-// membership churn. All methods are safe for concurrent use.
-type Ring struct {
-	mu     sync.RWMutex
-	vnodes int
-	hashes []uint64          // sorted vnode positions
-	owner  map[uint64]string // vnode position -> node
-	nodes  map[string]bool
-}
-
-// NewRing returns an empty ring; vnodes <= 0 uses the default.
-func NewRing(vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = defaultVNodes
-	}
-	return &Ring{
-		vnodes: vnodes,
-		owner:  make(map[uint64]string),
-		nodes:  make(map[string]bool),
-	}
-}
-
 // mix64 is the MurmurHash3 64-bit finalizer. FNV-1a alone avalanches
-// poorly on near-identical short inputs — "node#0".."node#127" land in
-// clustered ring positions, skewing key shares badly (observed 2x
-// imbalance at 128 vnodes). One multiply-xor-shift round spreads them
-// uniformly while staying deterministic across processes.
+// poorly on near-identical short inputs such as "http://worker-0:8080"
+// and "http://worker-1:8080": their hashes cluster, and ranking by an
+// unfinalized keyHash^workerHash lets the few bits the workers differ
+// in pick the owner (one of three workers took half of 20,000 keys).
+// One multiply-xor-shift round spreads them uniformly while staying
+// deterministic across processes.
 func mix64(x uint64) uint64 {
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
@@ -74,134 +44,41 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// vnodeHash positions one virtual node: FNV-1a over "node#i", then
-// finalized. Stable across processes and restarts, so every coordinator
-// places the same keys on the same workers (cache affinity survives
-// coordinator restarts).
-func vnodeHash(node string, i int) uint64 {
+// hash64 is FNV-1a of s, finalized by mix64. It hashes both point keys
+// and worker URLs; it is stable across processes and restarts, so
+// every coordinator places the same keys on the same workers (cache
+// affinity survives coordinator restarts).
+func hash64(s string) uint64 {
 	h := fnv.New64a()
-	h.Write([]byte(node))
-	h.Write([]byte{'#'})
-	h.Write([]byte(strconv.Itoa(i)))
+	h.Write([]byte(s))
 	return mix64(h.Sum64())
 }
 
-func keyHash(key string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return mix64(h.Sum64())
+// member is a worker as placement sees it: its URL and hash64 of the
+// URL, computed once when the client is built.
+type member struct {
+	url  string
+	hash uint64
 }
 
-// Add inserts a node's vnodes. Adding a present node is a no-op.
-func (r *Ring) Add(node string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.nodes[node] {
-		return
-	}
-	r.nodes[node] = true
-	for i := 0; i < r.vnodes; i++ {
-		h := vnodeHash(node, i)
-		if _, taken := r.owner[h]; taken {
-			// A 64-bit collision between different nodes' vnodes is
-			// astronomically unlikely; skipping the vnode keeps Add/Remove
-			// order-independent at the cost of one ring slot.
-			continue
-		}
-		r.owner[h] = node
-		r.hashes = append(r.hashes, h)
-	}
-	sort.Slice(r.hashes, func(i, j int) bool { return r.hashes[i] < r.hashes[j] })
-}
-
-// Remove deletes a node's vnodes. Removing an absent node is a no-op.
-func (r *Ring) Remove(node string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.nodes[node] {
-		return
-	}
-	delete(r.nodes, node)
-	kept := r.hashes[:0]
-	for _, h := range r.hashes {
-		if r.owner[h] == node {
-			delete(r.owner, h)
-			continue
-		}
-		kept = append(kept, h)
-	}
-	r.hashes = kept
-}
-
-// Has reports node membership.
-func (r *Ring) Has(node string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.nodes[node]
-}
-
-// Len returns the number of member nodes.
-func (r *Ring) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.nodes)
-}
-
-// Nodes returns the member nodes, sorted.
-func (r *Ring) Nodes() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.nodes))
-	for n := range r.nodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Owner returns the node owning key, or ok=false on an empty ring.
-func (r *Ring) Owner(key string) (string, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.hashes) == 0 {
-		return "", false
-	}
-	return r.owner[r.hashes[r.searchLocked(keyHash(key))]], true
-}
-
-// Owners returns up to n distinct nodes in clockwise preference order
-// starting at key's owner. Retry and hedge target selection walk this
-// list: the first entry is the primary shard, later entries are the
-// natural successors that would inherit the key if the primary left
-// the ring.
-func (r *Ring) Owners(key string, n int) []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.hashes) == 0 || n <= 0 {
-		return nil
-	}
-	if n > len(r.nodes) {
-		n = len(r.nodes)
-	}
-	out := make([]string, 0, n)
-	seen := make(map[string]bool, n)
-	start := r.searchLocked(keyHash(key))
-	for i := 0; i < len(r.hashes) && len(out) < n; i++ {
-		node := r.owner[r.hashes[(start+i)%len(r.hashes)]]
-		if !seen[node] {
-			seen[node] = true
-			out = append(out, node)
-		}
+// owners ranks members for key by rendezvous (highest-random-weight)
+// hashing and returns the URLs of up to n of them, best first. The
+// first is the key's owner; later ones are where retries and hedges
+// go. A member's score for a key depends on nothing but the two
+// hashes, so removing a member moves only the keys it owned, adding
+// one moves keys only onto it, and member order never matters (equal
+// scores, a 64-bit URL-hash collision, break by URL).
+func owners(key string, members []member, n int) []string {
+	kh := hash64(key)
+	score := func(m member) uint64 { return mix64(kh ^ m.hash) }
+	ranked := append([]member(nil), members...)
+	sort.Slice(ranked, func(i, j int) bool {
+		si, sj := score(ranked[i]), score(ranked[j])
+		return si > sj || si == sj && ranked[i].url < ranked[j].url
+	})
+	out := make([]string, max(0, min(n, len(ranked))))
+	for i := range out {
+		out[i] = ranked[i].url
 	}
 	return out
-}
-
-// searchLocked returns the index of the first vnode at or clockwise
-// from h, wrapping past the top. Caller holds r.mu.
-func (r *Ring) searchLocked(h uint64) int {
-	i := sort.Search(len(r.hashes), func(i int) bool { return r.hashes[i] >= h })
-	if i == len(r.hashes) {
-		return 0
-	}
-	return i
 }

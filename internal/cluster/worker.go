@@ -10,26 +10,21 @@ import (
 	"regreloc/internal/pointstore"
 )
 
-// workerDefaultMaxCells caps one compute request's cell count; a
-// coordinator's batch size is far below it, so hitting the cap means a
-// buggy or abusive client, not a big sweep.
-const workerDefaultMaxCells = 4096
+// maxCells caps one compute request's cell count; a coordinator's
+// batch size is far below it, so hitting the cap means a buggy or
+// abusive client, not a big sweep.
+const maxCells = 4096
 
 // WorkerConfig configures the worker-side compute handler.
 type WorkerConfig struct {
 	// Points, if non-nil, memoizes cells across requests, so a worker
 	// that owns a shard keeps serving it from cache when overlapping
-	// jobs arrive. The consistent-hash ring sends the same keys to the
-	// same worker precisely to make this effective.
+	// jobs arrive. Placement sends a key to the same worker for as long
+	// as the healthy set holds, which is what makes this effective.
 	Points *pointstore.Store
 	// PointWorkers bounds the per-request simulation pool (0 = one per
 	// core).
 	PointWorkers int
-	// ComputeLimit, if non-nil, rate-limits this worker's fresh
-	// simulations (shared across concurrent requests).
-	ComputeLimit experiment.Limiter
-	// MaxCells caps cells per request (0 = workerDefaultMaxCells).
-	MaxCells int
 	// Logf receives operational warnings; nil uses the standard logger.
 	Logf func(format string, args ...any)
 }
@@ -42,9 +37,6 @@ type Worker struct {
 
 // NewWorker returns the compute handler for this process.
 func NewWorker(cfg WorkerConfig) *Worker {
-	if cfg.MaxCells <= 0 {
-		cfg.MaxCells = workerDefaultMaxCells
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
 	}
@@ -65,7 +57,7 @@ func (wk *Worker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if err := validateCompute(&req, wk.cfg.MaxCells); err != nil {
+	if err := validateCompute(&req); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -89,13 +81,12 @@ func (wk *Worker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		cells[i] = experiment.Cell{F: c.F, R: c.R, L: c.L, Arch: c.Arch}
 	}
 	scale := experiment.Scale{
-		Fidelity:     fid,
-		Threads:      req.Threads,
-		WorkRuns:     req.WorkRuns,
-		MinWork:      req.MinWork,
-		Workers:      wk.cfg.PointWorkers,
-		PointStore:   wk.cfg.Points,
-		ComputeLimit: wk.cfg.ComputeLimit,
+		Fidelity:   fid,
+		Threads:    req.Threads,
+		WorkRuns:   req.WorkRuns,
+		MinWork:    req.MinWork,
+		Workers:    wk.cfg.PointWorkers,
+		PointStore: wk.cfg.Points,
 	}.WithContext(r.Context())
 
 	results, err := e.ComputeCells(req.Seed, scale, cells)
@@ -123,7 +114,9 @@ func (wk *Worker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // validateCompute bounds a request before committing simulation work.
-func validateCompute(req *computeRequest, maxCells int) error {
+// Threads and work are capped at Full, the largest scale serve builds,
+// so no request can cost more per cell than a full-scale sweep.
+func validateCompute(req *computeRequest) error {
 	switch {
 	case req.Experiment == "":
 		return fmt.Errorf("missing experiment")
@@ -131,8 +124,8 @@ func validateCompute(req *computeRequest, maxCells int) error {
 		return fmt.Errorf("no cells")
 	case len(req.Cells) > maxCells:
 		return fmt.Errorf("too many cells: %d > %d", len(req.Cells), maxCells)
-	case req.Threads <= 0 || req.Threads > 1<<16:
-		return fmt.Errorf("threads %d out of range", req.Threads)
+	case req.Threads <= 0 || req.Threads > experiment.Full.Threads:
+		return fmt.Errorf("threads %d out of range 1..%d", req.Threads, experiment.Full.Threads)
 	case req.WorkRuns < 0 || req.MinWork < 0:
 		return fmt.Errorf("negative work")
 	case req.WorkRuns > experiment.Full.WorkRuns || req.MinWork > experiment.Full.MinWork:

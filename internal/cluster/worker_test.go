@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -35,7 +36,7 @@ func validRequest() computeRequest {
 }
 
 func TestWorkerRejectsBadRequests(t *testing.T) {
-	wk := NewWorker(WorkerConfig{MaxCells: 2, Logf: t.Logf})
+	wk := NewWorker(WorkerConfig{Logf: t.Logf})
 
 	rr := httptest.NewRecorder()
 	wk.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, ComputePath, nil))
@@ -55,11 +56,13 @@ func TestWorkerRejectsBadRequests(t *testing.T) {
 		"non-shardable":      func(r *computeRequest) { r.Experiment = "figure3" },
 		"no cells":           func(r *computeRequest) { r.Cells = nil },
 		"too many cells": func(r *computeRequest) {
-			r.Cells = []wireCell{{Key: "a", F: 1, R: 1, L: 1, Arch: "fixed"},
-				{Key: "b", F: 1, R: 1, L: 1, Arch: "fixed"},
-				{Key: "c", F: 1, R: 1, L: 1, Arch: "fixed"}}
+			r.Cells = make([]wireCell, maxCells+1)
+			for i := range r.Cells {
+				r.Cells[i] = wireCell{Key: fmt.Sprint(i), F: 1, R: 1, L: 1, Arch: "fixed"}
+			}
 		},
 		"zero threads":   func(r *computeRequest) { r.Threads = 0 },
+		"huge Threads":   func(r *computeRequest) { r.Threads = experiment.Full.Threads + 1 },
 		"negative work":  func(r *computeRequest) { r.WorkRuns = -1 },
 		"malformed cell": func(r *computeRequest) { r.Cells[0].F = 0 },
 		"keyless cell":   func(r *computeRequest) { r.Cells[0].Key = "" },
@@ -119,8 +122,8 @@ func TestWorkerComputesCells(t *testing.T) {
 // path: with a point store attached, a repeated request is answered
 // from the plan's batched store probe — one hit per cell, zero fresh
 // simulations (misses) — and the bytes are identical to the cold run.
-// The consistent-hash ring routes the same keys to the same worker
-// precisely to make this path hot.
+// Placement routes the same keys to the same worker precisely to make
+// this path hot.
 func TestWorkerServesWarmCellsFromStoreBatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real simulation cells")

@@ -76,10 +76,10 @@ type Config struct {
 	// A coordinator sets it to the cluster fan-out client; the local
 	// pool and the cluster are interchangeable behind this interface.
 	Remote experiment.PointComputer
-	// ComputeLimit, when non-nil, rate-limits this process's fresh
-	// point simulations (experiment.Scale.ComputeLimit): overload
-	// protection for a worker sharing a box, and the per-node capacity
-	// model for single-box cluster benchmarks.
+	// ComputeLimit, when non-nil, gates each of this process's fresh
+	// point simulations (experiment.Scale.ComputeLimit). No daemon
+	// flag sets it; tests and the benchmark's tracer hook it to count
+	// or hold simulations.
 	ComputeLimit experiment.Limiter
 	// ReadyCheck, when non-nil, adds a condition to /readyz: a non-nil
 	// error answers 503 with the error text. A coordinator uses it to

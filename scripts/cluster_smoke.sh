@@ -135,9 +135,9 @@ printf '%s\n' "$METRICS" | grep -q '^rrserve_cluster_batch_seconds_count{' \
 
 echo "== rrload burst against the coordinator"
 "$TMP/rrload" -addr "$COORD" -clients 8 -duration 2s -overlap 0.5 \
-    -snapshot-label cluster-smoke -out "$TMP/load.json" > "$TMP/load-summary.txt"
+    -label cluster-smoke -out "$TMP/load.json" > "$TMP/load-summary.txt"
 grep -q '"label": *"cluster-smoke"' "$TMP/load.json" \
-    || { echo "-snapshot-label did not name the snapshot" >&2; exit 1; }
+    || { echo "-label did not name the snapshot" >&2; exit 1; }
 
 echo "== draining the fleet"
 stop_daemon "$COORD_PID"
