@@ -45,6 +45,13 @@ func (c Context) RRM() int { return c.Base }
 // allocator rounds up to its supported context size. Implementations
 // are not safe for concurrent use (they model a per-processor runtime
 // structure).
+//
+// Every implementation keeps two promises about failure, which the
+// node's first-fit admission relies on to skip queued threads without
+// asking: a failed Alloc changes nothing, and failure is monotone in
+// the requirement. Once Alloc(r) fails, Alloc(r') fails for every
+// r' >= r (up to the allocator's maximum context size), however many
+// other Allocs succeed in between, until the next Free.
 type Allocator interface {
 	// Alloc returns a context with Size >= required, or ok=false if no
 	// suitable block is free.

@@ -369,6 +369,68 @@ func TestAllocatorInvariantsRandomWorkload(t *testing.T) {
 	}
 }
 
+// TestFailedAllocMonotoneAndInert checks the failure promises on
+// Allocator over random Alloc/Free sequences. Each allocator runs beside
+// an identical twin that receives the same operations, except that
+// after a failure the subject alone is also asked for a requirement at
+// least as large as the smallest one that failed since the last Free.
+// That request must fail, and the twins must keep answering alike, so
+// it changed nothing.
+func TestFailedAllocMonotoneAndInert(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		mk   func() Allocator
+		max  int // largest requirement asked for
+	}{
+		{"bitmap", func() Allocator { return NewBitmap(128, 64, FlexibleCosts) }, 64},
+		{"fixed", func() Allocator { return NewFixed(128, 32) }, 48},
+		{"lookup", func() Allocator { return NewLookup(128, LookupCosts) }, 48},
+		{"buddy", func() Allocator { return NewBuddy(128, 4, 64, FlexibleCosts) }, 64},
+		{"firstfit", func() Allocator { return NewFirstFit(128, 64, ExactCosts) }, 64},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			a, twin := c.mk(), c.mk()
+			src := rng.New(7)
+			var live []Context
+			failMin, fails := 0, 0 // smallest failed requirement since the last Free; 0 = none
+			for step := 0; step < 20000; step++ {
+				if len(live) > 0 && src.Intn(3) == 0 {
+					k := src.Intn(len(live))
+					a.Free(live[k])
+					twin.Free(live[k])
+					live[k] = live[len(live)-1]
+					live = live[:len(live)-1]
+					failMin = 0
+					continue
+				}
+				r := src.IntRange(1, c.max)
+				ctx, ok := a.Alloc(r)
+				if tctx, tok := twin.Alloc(r); tctx != ctx || tok != ok {
+					t.Fatalf("step %d: Alloc(%d) = %+v, %v; twin got %+v, %v", step, r, ctx, ok, tctx, tok)
+				}
+				if ok {
+					if failMin != 0 && r >= failMin {
+						t.Fatalf("step %d: Alloc(%d) succeeded after Alloc(%d) failed with no Free between", step, r, failMin)
+					}
+					live = append(live, ctx)
+					continue
+				}
+				fails++
+				if failMin == 0 || r < failMin {
+					failMin = r
+				}
+				probe := src.IntRange(failMin, c.max)
+				if ctx, ok := a.Alloc(probe); ok {
+					t.Fatalf("step %d: Alloc(%d) = %+v after Alloc(%d) failed with no Free between", step, probe, ctx, failMin)
+				}
+			}
+			if fails < 100 {
+				t.Fatalf("only %d failed allocations in the sequence; the property was barely exercised", fails)
+			}
+		})
+	}
+}
+
 func TestBitmapBuddyEquivalentCapacity(t *testing.T) {
 	// Property: for any sequence of allocations without frees, bitmap
 	// and buddy admit the same number of contexts (both are first-fit

@@ -12,6 +12,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"regreloc/internal/rng"
 )
@@ -19,9 +20,12 @@ import (
 // Cache is a set-associative cache with LRU replacement. Addresses are
 // word addresses; a line holds LineWords words.
 type Cache struct {
-	sets      int
-	ways      int
-	lineWords int
+	sets int
+	ways int
+	// Every size is a power of two, so a word address splits into line,
+	// set and tag by shifts and a mask instead of three divisions.
+	lineShift, setShift uint
+	setMask             uint64
 
 	// tags[set*ways+way] holds the line tag; lru[set*ways+way] the
 	// last-use stamp.
@@ -50,10 +54,13 @@ func New(totalWords, ways, lineWords int) *Cache {
 	}
 	sets := lines / ways
 	c := &Cache{
-		sets: sets, ways: ways, lineWords: lineWords,
-		tags:  make([]uint64, lines),
-		valid: make([]bool, lines),
-		lru:   make([]uint64, lines),
+		sets: sets, ways: ways,
+		lineShift: uint(bits.TrailingZeros(uint(lineWords))),
+		setShift:  uint(bits.TrailingZeros(uint(sets))),
+		setMask:   uint64(sets - 1),
+		tags:      make([]uint64, lines),
+		valid:     make([]bool, lines),
+		lru:       make([]uint64, lines),
 	}
 	return c
 }
@@ -61,13 +68,17 @@ func New(totalWords, ways, lineWords int) *Cache {
 // Sets returns the number of sets.
 func (c *Cache) Sets() int { return c.sets }
 
+// index splits a word address into its set and tag.
+func (c *Cache) index(addr uint64) (set int, tag uint64) {
+	line := addr >> c.lineShift
+	return int(line & c.setMask), line >> c.setShift
+}
+
 // Access touches the word address and returns true on a hit. Misses
 // fill the line, evicting the LRU way.
 func (c *Cache) Access(addr uint64) bool {
 	c.clock++
-	line := addr / uint64(c.lineWords)
-	set := int(line % uint64(c.sets))
-	tag := line / uint64(c.sets)
+	set, tag := c.index(addr)
 	base := set * c.ways
 
 	for w := 0; w < c.ways; w++ {

@@ -29,6 +29,27 @@ func TestCacheBasics(t *testing.T) {
 	}
 }
 
+// TestIndexMatchesDivision pins the shift-and-mask split of an address
+// to the division form it replaced, across geometries and addresses
+// that include the shared region's high bits.
+func TestIndexMatchesDivision(t *testing.T) {
+	src := rng.New(3)
+	for _, g := range []struct{ words, ways, line int }{
+		{64, 1, 4}, {64, 2, 4}, {4096, 2, 4}, {4096, 4, 8}, {1 << 14, 1, 1}, {256, 64, 4},
+	} {
+		c := New(g.words, g.ways, g.line)
+		sets := uint64(c.Sets())
+		for i := 0; i < 10000; i++ {
+			addr := src.Uint64() >> uint(src.Intn(64))
+			line := addr / uint64(g.line)
+			set, tag := c.index(addr)
+			if set != int(line%sets) || tag != line/sets {
+				t.Fatalf("%+v: index(%#x) = (%d, %#x), want (%d, %#x)", g, addr, set, tag, line%sets, line/sets)
+			}
+		}
+	}
+}
+
 func TestDirectMappedConflict(t *testing.T) {
 	c := New(64, 1, 4) // 16 sets; addresses 0 and 64*... map to set 0
 	c.Access(0)

@@ -9,6 +9,7 @@ import (
 	"log"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -35,6 +36,9 @@ const (
 	// ejectAfter is how many consecutive failures, probe or compute,
 	// take a worker out of placement.
 	ejectAfter = 2
+	// maxAdmitProbes caps the successful probes a worker ejected for
+	// compute failures must pass before it rejoins placement.
+	maxAdmitProbes = 32
 )
 
 // httpClient carries every request to the workers. It has no global
@@ -101,9 +105,17 @@ type workerState struct {
 	member
 	up          bool
 	consecFails int
-	batches     int64 // compute requests sent
-	failures    int64 // compute requests failed
-	lat         *stats.Histogram
+	// computeEjections counts the ejections for compute failures since
+	// the worker last computed successfully. A down worker rejoins
+	// placement after admitProbes more successful probes: one after a
+	// probe ejection, 2^(n-1) (at most maxAdmitProbes) after the n-th
+	// compute ejection, so a worker whose /readyz answers while its
+	// compute endpoint fails stops costing a retry every probe round.
+	computeEjections int
+	admitProbes      int
+	batches          int64 // compute requests sent
+	failures         int64 // compute requests failed
+	lat              *stats.Histogram
 }
 
 // Client implements experiment.PointComputer over a worker fleet. It
@@ -233,9 +245,11 @@ func (c *Client) probe(worker string) error {
 }
 
 // noteResult applies one observation of a worker — a probe or a
-// compute attempt — to its health state: success re-admits a down
-// worker immediately (it answered; cache affinity wants its keys back
-// on it fast), ejectAfter consecutive failures eject an up one.
+// compute attempt — to its health state. A successful compute re-admits
+// a down worker immediately (it answered; cache affinity wants its keys
+// back on it fast), and a successful probe re-admits one whose
+// admitProbes it completes; ejectAfter consecutive failures eject an up
+// worker.
 func (c *Client) noteResult(worker string, err error, kind string) {
 	c.mu.Lock()
 	ws, ok := c.workers[worker]
@@ -245,21 +259,36 @@ func (c *Client) noteResult(worker string, err error, kind string) {
 	}
 	if err == nil {
 		ws.consecFails = 0
-		if !ws.up {
-			c.setUpLocked(ws, true)
+		if kind == "compute" {
+			ws.computeEjections = 0
+			ws.admitProbes = 0
+		}
+		if ws.up {
 			c.mu.Unlock()
-			c.cfg.Logf("cluster: worker %s admitted (%s ok)", worker, kind)
 			return
 		}
+		if ws.admitProbes > 1 {
+			ws.admitProbes--
+			c.mu.Unlock()
+			return
+		}
+		c.setUpLocked(ws, true)
 		c.mu.Unlock()
+		c.cfg.Logf("cluster: worker %s admitted (%s ok)", worker, kind)
 		return
 	}
 	ws.consecFails++
 	if ws.up && ws.consecFails >= ejectAfter {
 		c.setUpLocked(ws, false)
-		fails := ws.consecFails
+		ws.admitProbes = 1
+		if kind == "compute" {
+			ws.computeEjections++
+			ws.admitProbes = min(1<<(ws.computeEjections-1), maxAdmitProbes)
+		}
+		fails, probes := ws.consecFails, ws.admitProbes
 		c.mu.Unlock()
-		c.cfg.Logf("cluster: worker %s ejected after %d consecutive failures (%s: %v)", worker, fails, kind, err)
+		c.cfg.Logf("cluster: worker %s ejected after %d consecutive failures (%s: %v); re-admission takes %d successful probes",
+			worker, fails, kind, err, probes)
 		return
 	}
 	c.mu.Unlock()
@@ -378,12 +407,14 @@ func (c *Client) ComputePoints(ctx context.Context, sweep experiment.RemoteSweep
 }
 
 // runBatch drives one batch to completion: primary attempt (hedged if
-// slow), then up to Retries re-sends with linear backoff, attempt k to
-// the batch key's k-th ranked (from 0) currently healthy worker.
-// Exhausting every attempt leaves the batch's points to the engine's
-// local fallback.
+// slow), then up to Retries re-sends with linear backoff, each to the
+// batch key's best-ranked currently healthy worker that the batch has
+// not yet been sent to, or to the top-ranked one when it has been sent
+// to them all. Exhausting every attempt leaves the batch's points to
+// the engine's local fallback.
 func (c *Client) runBatch(ctx context.Context, sweep experiment.RemoteSweep, b batch, emit func(string, []byte)) {
 	target := b.owner
+	var sent []string // every worker this batch went to: primary, hedges, retries
 	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
 		if attempt > 0 {
 			c.mu.Lock()
@@ -394,20 +425,34 @@ func (c *Client) runBatch(ctx context.Context, sweep experiment.RemoteSweep, b b
 			}
 			// Re-rank against current membership: the original owner may
 			// have been ejected since (possibly by this very batch's
-			// failure). Successive attempts take successive ranks so
-			// repeated retries spread instead of hammering one survivor.
-			targets := owners(b.pts[0].Key, c.healthyNow(), attempt+1)
-			if len(targets) == 0 {
+			// failure), and then the first untried worker is the keys'
+			// new owner, which later sweeps will ask for them. Otherwise
+			// it is the next in line, so repeated retries spread instead
+			// of hammering one survivor.
+			healthy := c.healthyNow()
+			ranked := owners(b.pts[0].Key, healthy, len(healthy))
+			if len(ranked) == 0 {
 				c.cfg.Logf("cluster: batch of %d points abandoned, no healthy workers", len(b.pts))
 				return
 			}
-			target = targets[min(attempt, len(targets)-1)]
+			target = ranked[0]
+			for _, w := range ranked {
+				if !slices.Contains(sent, w) {
+					target = w
+					break
+				}
+			}
 		}
 		c.mu.Lock()
 		c.batches++
 		c.mu.Unlock()
-		if c.sendHedged(ctx, sweep, b, target, emit) {
+		ok, hedge := c.sendHedged(ctx, sweep, b, target, emit)
+		if ok {
 			return
+		}
+		sent = append(sent, target)
+		if hedge != "" {
+			sent = append(sent, hedge)
 		}
 		c.mu.Lock()
 		c.batchFails++
@@ -430,8 +475,9 @@ type sendResult struct {
 // healthy worker (hedgeTarget) if no response lands within HedgeAfter
 // (budget permitting). First usable response wins and cancels the
 // loser; results from either are identical by construction, so the
-// race needs no reconciliation.
-func (c *Client) sendHedged(ctx context.Context, sweep experiment.RemoteSweep, b batch, target string, emit func(string, []byte)) bool {
+// race needs no reconciliation. It reports whether a response was
+// used, and the hedge's worker if it launched one.
+func (c *Client) sendHedged(ctx context.Context, sweep experiment.RemoteSweep, b batch, target string, emit func(string, []byte)) (bool, string) {
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -444,6 +490,7 @@ func (c *Client) sendHedged(ctx context.Context, sweep experiment.RemoteSweep, b
 	}
 	launch(target)
 	inflight := 1
+	var hedge string
 
 	var hedgeCh <-chan time.Time
 	if c.cfg.HedgeAfter > 0 {
@@ -470,7 +517,7 @@ func (c *Client) sendHedged(ctx context.Context, sweep experiment.RemoteSweep, b
 				for k, data := range r.results {
 					emit(k, data)
 				}
-				return true
+				return true, hedge
 			}
 			if sctx.Err() == nil {
 				// A real failure, not our own cancellation.
@@ -479,17 +526,18 @@ func (c *Client) sendHedged(ctx context.Context, sweep experiment.RemoteSweep, b
 			if inflight > 0 {
 				continue // a hedge is still running; it may yet win
 			}
-			return false
+			return false, hedge
 		case <-hedgeCh:
 			hedgeCh = nil
 			alt, ok := c.hedgeTarget(b, target)
 			if !ok {
 				continue
 			}
+			hedge = alt
 			launch(alt)
 			inflight++
 		case <-ctx.Done():
-			return false
+			return false, hedge
 		}
 	}
 }

@@ -2,6 +2,8 @@ package experiment_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
 	"os"
 	"path/filepath"
@@ -21,6 +23,12 @@ func goldenPath(name string) string {
 	return filepath.Join("testdata", name+"_quick_seed1.golden.csv")
 }
 
+// digestPath names the pinned SHA-256 of one golden sim row's encoded
+// points.
+func digestPath(name string) string {
+	return filepath.Join("testdata", name+"_quick_seed1.golden.sha256")
+}
+
 // TestQuickGolden pins quick-scale seed-1 reports to exact bytes, one
 // experiment per simulator path: byte identity for a given seed is a
 // hard contract. The serve daemon's content-addressed caches and the
@@ -38,6 +46,18 @@ func goldenPath(name string) string {
 //   - figure5-machine: the Figure 5 grid on the instruction-level
 //     managed machine tier.
 //   - figure5-analytic: the Figure 5 grid on the closed-form tier.
+//   - ablation-alloc: admission through Bitmap (two cost models),
+//     Buddy, the two-size Lookup table and Fixed, under two-phase
+//     unloading.
+//   - ablation-rounding: exact-size FirstFit admission, the fifth
+//     allocator, beside Bitmap and Fixed, never unloading.
+//   - ablation-policy: the Always unloading policy, which the bulk
+//     charge of quiet probe passes does not cover.
+//
+// The CSVs round to six decimals and omit most of node.Result, so
+// every sim row also pins the SHA-256 of its points' codec bytes
+// (encodeMeasurements): every field of every Result, floats as their
+// bit patterns.
 //
 // To regenerate after an INTENTIONAL behaviour change (new columns, a
 // model fix), run
@@ -59,6 +79,9 @@ func TestQuickGolden(t *testing.T) {
 		{"scaling", "scaling", experiment.FidelitySim},
 		{"figure5-machine", "figure5", experiment.FidelityMachine},
 		{"figure5-analytic", "figure5", experiment.FidelityAnalytic},
+		{"ablation-alloc", "ablation-alloc", experiment.FidelitySim},
+		{"ablation-rounding", "ablation-rounding", experiment.FidelitySim},
+		{"ablation-policy", "ablation-policy", experiment.FidelitySim},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			e, ok := experiment.Get(row.id)
@@ -72,9 +95,19 @@ func TestQuickGolden(t *testing.T) {
 				t.Fatal(r.Err)
 			}
 			got := []byte(experiment.CSV(r))
+			var digest []byte
+			if row.fid == experiment.FidelitySim {
+				sum := sha256.Sum256(experiment.EncodeMeasurements(row.fid, r.Points))
+				digest = []byte(hex.EncodeToString(sum[:]) + "\n")
+			}
 			if *updateGolden {
 				if err := os.WriteFile(goldenPath(row.name), got, 0o644); err != nil {
 					t.Fatal(err)
+				}
+				if digest != nil {
+					if err := os.WriteFile(digestPath(row.name), digest, 0o644); err != nil {
+						t.Fatal(err)
+					}
 				}
 				return
 			}
@@ -85,6 +118,17 @@ func TestQuickGolden(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Fatalf("%s quick seed=1 report is not byte-identical to the golden file (got %d bytes, want %d); simulation results drifted",
 					row.name, len(got), len(want))
+			}
+			if digest == nil {
+				return
+			}
+			wantDigest, err := os.ReadFile(digestPath(row.name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(digest, wantDigest) {
+				t.Fatalf("%s quick seed=1 encoded points hash to %s, golden %s; a node.Result field drifted",
+					row.name, bytes.TrimSpace(digest), bytes.TrimSpace(wantDigest))
 			}
 		})
 	}

@@ -54,10 +54,6 @@ type Config struct {
 	// blocked context (switch in, test, switch away). Defaults to
 	// SwitchCost.
 	ProbeCost int64
-	// WindowHead and WindowTail are the fractions of total useful work
-	// excluded from measurement at either end (default 0.1 each),
-	// matching the paper's transient exclusion.
-	WindowHead, WindowTail float64
 	// Tracer, when non-nil, records a cycle-level activity timeline
 	// (see internal/trace). Tracing does not perturb the simulation: a
 	// traced run returns the same Result as an untraced one. It does
@@ -80,11 +76,13 @@ func (c Config) withDefaults() Config {
 	if c.ProbeCost == 0 {
 		c.ProbeCost = c.SwitchCost
 	}
-	if c.WindowHead == 0 && c.WindowTail == 0 {
-		c.WindowHead, c.WindowTail = 0.1, 0.1
-	}
 	return c
 }
+
+// windowHead and windowTail are the fractions of total useful work
+// excluded from measurement at either end, matching the paper's
+// transient exclusion.
+const windowHead, windowTail = 0.1, 0.1
 
 // FixedConfig returns the conventional-hardware baseline: fileSize/32
 // fixed contexts, zero allocation cost.
@@ -143,7 +141,7 @@ type Result struct {
 }
 
 // statePool recycles simulation state — the event heap, the scheduling
-// ring's nodes and map, the FIFO's backing array, and the generated
+// ring's nodes, the FIFO's backing array, and the generated
 // thread population — across runs. A parallel sweep worker thereby
 // reuses one working set for its whole slice of the grid instead of
 // reallocating it per point. States are only returned to the pool
@@ -166,13 +164,12 @@ func Run(cfg Config, spec workload.Spec, seed uint64) Result {
 	threads := s.threadBuf
 	s.cfg = cfg
 	s.alloc = cfg.NewAlloc()
-	s.totalWork = workload.TotalWork(threads)
-	s.window = stats.NewWindow(cfg.WindowHead, cfg.WindowTail)
+	s.window = stats.NewWindow(windowHead, windowTail, workload.TotalWork(threads))
 	s.runLen = rng.NewSampler(spec.RunLen)
 	s.latency = rng.NewSampler(spec.Latency)
 	s.src = src.Split()
 	s.acct = stats.CycleAccount{}
-	s.failMin = 0
+	s.failMin, s.ready = 0, 0
 	s.residentIntegral, s.wasteIntegral, s.currentWaste, s.lastResidentAt = 0, 0, 0, 0
 	s.res = Result{Name: cfg.Name}
 
@@ -197,6 +194,7 @@ func Run(cfg Config, spec workload.Spec, seed uint64) Result {
 		s.idleToNextEvent()
 	}
 
+	s.foldResidency()
 	s.res.Full = s.acct.Clone()
 	s.res.Windowed = s.window.Measure(&s.acct)
 	s.res.Efficiency = s.res.Windowed.Efficiency()
@@ -215,7 +213,6 @@ func Run(cfg Config, spec workload.Spec, seed uint64) Result {
 func (s *state) release() {
 	s.events.Reset()
 	s.alloc = nil
-	s.window = nil
 	s.runLen, s.latency = rng.Sampler{}, rng.Sampler{}
 	s.src = nil
 	s.cfg = Config{}
@@ -231,7 +228,7 @@ type state struct {
 	queue  sched.FIFO
 	events sim.Queue[*thread.Thread]
 	acct   stats.CycleAccount
-	window *stats.Window
+	window stats.Window
 
 	// threadBuf holds the generated population; the slice and its
 	// Thread structs are recycled across runs via the state pool.
@@ -242,16 +239,18 @@ type state struct {
 	runLen, latency rng.Sampler
 	src             *rng.Source
 
-	totalWork int64
 	// failMin is the smallest register requirement that failed to
-	// allocate since the last capacity increase; 0 means allocation
-	// should be attempted. The runtime tracks free space cheaply, so
-	// repeated hopeless attempts are neither made nor charged.
+	// allocate since the last Free, 0 if none has. Every requirement at
+	// least as large fails too (see alloc.Allocator), so admission skips
+	// the threads that need that many without asking the allocator.
 	failMin int
+	// ready counts the ring's ReadyResident threads.
+	ready int
 
 	// residentIntegral accumulates ring.Len() x elapsed cycles for the
 	// time-averaged resident-context count; wasteIntegral does the same
-	// for currently wasted registers.
+	// for currently wasted registers. foldResidency brings both up to
+	// the clock, before every change to either factor and at run end.
 	residentIntegral int64
 	wasteIntegral    int64
 	currentWaste     int64
@@ -260,8 +259,7 @@ type state struct {
 	res Result
 }
 
-// charge accounts cycles and advances the clock, keeping the
-// resident-context integral and measurement window up to date.
+// charge accounts cycles and advances the clock.
 func (s *state) charge(a stats.Activity, n int64) {
 	s.chargeFor(a, n, -1)
 }
@@ -281,6 +279,16 @@ func (s *state) chargeFor(a stats.Activity, n int64, threadID int) {
 	s.advanceClock(n)
 }
 
+// foldResidency adds the resident-context and wasted-register integrals
+// up to the current time. Both factors are constant between ring
+// changes, so one product covers every charge since the last fold.
+func (s *state) foldResidency() {
+	dt := s.events.Now() - s.lastResidentAt
+	s.residentIntegral += int64(s.ring.Len()) * dt
+	s.wasteIntegral += s.currentWaste * dt
+	s.lastResidentAt = s.events.Now()
+}
+
 // processDueEvents handles fault completions due at or before now.
 func (s *state) processDueEvents() {
 	for {
@@ -294,6 +302,7 @@ func (s *state) processDueEvents() {
 		case thread.BlockedResident:
 			t.State = thread.ReadyResident
 			t.PollCost = 0
+			s.ready++
 		case thread.BlockedUnloaded:
 			t.State = thread.ReadyUnloaded
 			s.queue.Push(t)
@@ -312,13 +321,20 @@ func (s *state) processDueEvents() {
 // admission and one failed allocation per genuine unsuccessful attempt;
 // hopeless re-attempts (no capacity change since a failure) are
 // skipped, since the runtime tracks free space.
+//
+// The scan asks the allocator only about threads needing fewer
+// registers than failMin, lowering it on every failure; admissions
+// only use registers up, so what failed stays failed until a Free
+// resets it. Whether an attempt is hopeless, and so uncharged, is still
+// judged against failMin as the last charged failure left it.
 func (s *state) fill() {
+	charged := s.failMin
 	for s.queue.Len() > 0 {
-		if s.failMin != 0 && s.queue.MinRegs() >= s.failMin {
+		if charged != 0 && s.queue.MinRegs() >= charged {
 			return // nothing new could fit; no fresh attempt to charge
 		}
 		var ctx alloc.Context
-		t := s.queue.PopFit(func(cand *thread.Thread) bool {
+		t := s.queue.PopFit(&s.failMin, func(cand *thread.Thread) bool {
 			c, ok := s.alloc.Alloc(cand.Regs)
 			if ok {
 				ctx = c
@@ -326,10 +342,11 @@ func (s *state) fill() {
 			return ok
 		})
 		if t == nil {
+			// Every queued thread failed or was skipped, so failMin
+			// is now MinRegs.
 			s.alloc.Costs().ChargeAlloc(&s.acct, false)
 			s.advanceClock(s.alloc.Costs().AllocFail)
 			s.res.AllocFails++
-			s.failMin = s.queue.MinRegs()
 			return
 		}
 		s.alloc.Costs().ChargeAlloc(&s.acct, true)
@@ -341,7 +358,9 @@ func (s *state) fill() {
 		t.LoadedTimes++
 		s.res.Loads++
 		s.chargeFor(stats.Load, t.LoadCost(), t.ID)
+		s.foldResidency()
 		s.ring.Add(t)
+		s.ready++
 		s.currentWaste += int64(ctx.Size - t.Regs)
 		if s.ring.Len() > s.res.MaxResident {
 			s.res.MaxResident = s.ring.Len()
@@ -352,27 +371,22 @@ func (s *state) fill() {
 // advanceClock moves time forward for cycles already charged to the
 // account by an external cost model.
 func (s *state) advanceClock(n int64) {
-	if n == 0 {
-		return
-	}
-	s.residentIntegral += int64(s.ring.Len()) * (s.events.Now() + n - s.lastResidentAt)
-	s.wasteIntegral += s.currentWaste * (s.events.Now() + n - s.lastResidentAt)
-	s.lastResidentAt = s.events.Now() + n
 	// AdvanceTo, not Advance: charged cycles (run segments, runtime
 	// operations) intentionally overrun pending fault completions — the
 	// processor only notices them at the next switch (processDueEvents),
 	// which the strict Advance would reject.
 	s.events.AdvanceTo(s.events.Now() + n)
-	if !s.window.Done() {
-		s.window.MaybeSnapshot(&s.acct, s.acct.Get(stats.Useful), s.totalWork)
-	}
 }
 
 // nextRunnable returns a runnable resident thread, preferring the
-// current ring position, or nil.
+// current ring position, or nil. With none ready it returns at once:
+// the full rotation NextRunnable would make ends where it started.
 func (s *state) nextRunnable() *thread.Thread {
+	if s.ready == 0 {
+		return nil
+	}
 	cur := s.ring.Current()
-	if cur != nil && cur.Runnable() {
+	if cur.Runnable() {
 		return cur
 	}
 	t, _ := s.ring.NextRunnable()
@@ -388,11 +402,14 @@ func (s *state) runSegment(cur *thread.Thread) {
 		run = cur.WorkLeft
 	}
 	s.chargeFor(stats.Useful, run, cur.ID)
+	s.window.MaybeSnapshot(&s.acct, s.acct.Get(stats.Useful))
 	cur.WorkLeft -= run
+	s.ready-- // cur completes or faults below
 	s.processDueEvents()
 
 	if cur.WorkLeft == 0 {
 		cur.State = thread.Done
+		s.foldResidency()
 		s.ring.Remove(cur)
 		s.currentWaste -= int64(cur.Ctx.Size - cur.Regs)
 		s.alloc.Free(cur.Ctx)
@@ -471,10 +488,10 @@ func (s *state) trySwitchSpin() bool {
 // it was, cannot admit a thread (fill is a no-op while failMin holds,
 // and nothing frees registers), and executes no useful work, so no
 // window snapshot can fire. k quiet passes therefore add exactly k
-// times one pass's spin cycles, probes and poll costs, and
-// advanceClock grows the resident and waste integrals by the same
-// amounts the per-probe charges would. The per-probe loop then runs
-// the pass in which something happens.
+// times one pass's spin cycles, probes and poll costs, and leave the
+// ring, and so the resident and waste integrals, as the per-probe
+// charges would. The per-probe loop then runs the pass in which
+// something happens.
 //
 // k is bounded by the next event: the k-th pass must end before it
 // falls due. Under TwoPhase every context's poll cost must also stay
@@ -522,6 +539,7 @@ func (s *state) unload(t *thread.Thread) {
 		cost = thread.LoadOverhead
 	}
 	s.chargeFor(stats.Unload, cost, t.ID)
+	s.foldResidency()
 	s.ring.Remove(t)
 	s.currentWaste -= int64(t.Ctx.Size - t.Regs)
 	s.alloc.Free(t.Ctx)
@@ -547,13 +565,7 @@ func (s *state) idleToNextEvent() {
 		if s.cfg.Tracer != nil {
 			s.cfg.Tracer.Record(s.events.Now(), idle, -1, stats.Idle)
 		}
-		s.residentIntegral += int64(s.ring.Len()) * (next - s.lastResidentAt)
-		s.wasteIntegral += s.currentWaste * (next - s.lastResidentAt)
-		s.lastResidentAt = next
 		s.acct.Charge(stats.Idle, idle)
 		s.events.AdvanceTo(next)
-		if !s.window.Done() {
-			s.window.MaybeSnapshot(&s.acct, s.acct.Get(stats.Useful), s.totalWork)
-		}
 	}
 }

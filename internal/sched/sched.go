@@ -6,8 +6,8 @@
 // queue" whose insert/remove operations cost 10 cycles in Figure 4).
 //
 // Both structures sit on the simulator's per-fault hot path, so both
-// are engineered to be allocation-free in steady state: the ring
-// recycles its list nodes through a free list and exposes the
+// are engineered to be allocation-free in steady state: the ring keeps
+// its nodes in a slice indexed by thread ID and exposes the
 // zero-allocation Each iterator (Threads, which builds a fresh slice,
 // is for inspection only), and the FIFO reuses its backing array
 // through a head index instead of re-slicing capacity away.
@@ -19,10 +19,11 @@ import (
 	"regreloc/internal/thread"
 )
 
-// ringNode is a doubly-linked circular list node.
+// ringNode links one thread into the circular list. Links are thread
+// IDs, the indexes of the neighbours' nodes.
 type ringNode struct {
-	t          *thread.Thread
-	prev, next *ringNode
+	t          *thread.Thread // nil while the thread is not in the ring
+	prev, next int
 }
 
 // Ring is the circular list of resident contexts, mirroring the
@@ -32,19 +33,17 @@ type ringNode struct {
 // matching the switch-and-test behaviour the paper's S=8 switch cost
 // allows for.
 type Ring struct {
-	cur   *ringNode
+	// nodes[id] is the node of the thread with that ID. Thread IDs are
+	// dense from 0, so Add and Remove index instead of hashing, and the
+	// slice grown for one population serves every later one of the
+	// same size without allocating.
+	nodes []ringNode
+	cur   int // ID at the round-robin pointer; meaningless when size is 0
 	size  int
-	nodes map[*thread.Thread]*ringNode
-	// free recycles unlinked nodes so the load/unload churn of a long
-	// simulation stops allocating once the ring has reached its working
-	// set.
-	free *ringNode
 }
 
 // NewRing returns an empty ring.
-func NewRing() *Ring {
-	return &Ring{nodes: make(map[*thread.Thread]*ringNode)}
-}
+func NewRing() *Ring { return &Ring{} }
 
 // Len returns the number of resident contexts in the ring.
 func (r *Ring) Len() int { return r.size }
@@ -52,68 +51,62 @@ func (r *Ring) Len() int { return r.size }
 // Add inserts t just before the current position (so a full rotation
 // visits it last), mirroring a NextRRM link splice.
 func (r *Ring) Add(t *thread.Thread) {
-	if _, dup := r.nodes[t]; dup {
-		panic(fmt.Sprintf("sched: thread %d already in ring", t.ID))
+	id := t.ID
+	if id >= len(r.nodes) {
+		r.nodes = append(r.nodes, make([]ringNode, id+1-len(r.nodes))...)
 	}
-	n := r.free
-	if n != nil {
-		r.free = n.next
-		n.next = nil
-	} else {
-		n = &ringNode{}
+	n := &r.nodes[id]
+	if n.t != nil {
+		panic(fmt.Sprintf("sched: thread %d already in ring", id))
 	}
 	n.t = t
-	r.nodes[t] = n
-	if r.cur == nil {
-		n.prev, n.next = n, n
-		r.cur = n
+	if r.size == 0 {
+		n.prev, n.next = id, id
+		r.cur = id
 	} else {
-		n.prev = r.cur.prev
-		n.next = r.cur
-		n.prev.next = n
-		r.cur.prev = n
+		c := &r.nodes[r.cur]
+		n.prev, n.next = c.prev, r.cur
+		r.nodes[c.prev].next = id
+		c.prev = id
 	}
 	r.size++
 }
 
 // Remove unlinks t from the ring.
 func (r *Ring) Remove(t *thread.Thread) {
-	n, ok := r.nodes[t]
-	if !ok {
+	if !r.Contains(t) {
 		panic(fmt.Sprintf("sched: thread %d not in ring", t.ID))
 	}
-	delete(r.nodes, t)
+	n := &r.nodes[t.ID]
+	n.t = nil
 	r.size--
 	if r.size == 0 {
-		r.cur = nil
-	} else {
-		n.prev.next = n.next
-		n.next.prev = n.prev
-		if r.cur == n {
-			r.cur = n.next
-		}
+		return
 	}
-	n.t, n.prev, n.next = nil, nil, r.free
-	r.free = n
+	r.nodes[n.prev].next = n.next
+	r.nodes[n.next].prev = n.prev
+	if r.cur == t.ID {
+		r.cur = n.next
+	}
 }
 
 // Current returns the thread at the round-robin pointer, or nil when
 // empty.
 func (r *Ring) Current() *thread.Thread {
-	if r.cur == nil {
+	if r.size == 0 {
 		return nil
 	}
-	return r.cur.t
+	return r.nodes[r.cur].t
 }
 
 // Advance moves the round-robin pointer to the next context and
 // returns its thread, or nil when empty.
 func (r *Ring) Advance() *thread.Thread {
-	if r.cur == nil {
+	if r.size == 0 {
 		return nil
 	}
-	r.cur = r.cur.next
-	return r.cur.t
+	r.cur = r.nodes[r.cur].next
+	return r.nodes[r.cur].t
 }
 
 // NextRunnable advances at most Len() positions looking for a runnable
@@ -122,13 +115,10 @@ func (r *Ring) Advance() *thread.Thread {
 // no resident context is runnable. The pointer is left on the returned
 // thread (or back where it started on failure after a full rotation).
 func (r *Ring) NextRunnable() (*thread.Thread, int) {
-	if r.cur == nil {
-		return nil, 0
-	}
 	for i := 1; i <= r.size; i++ {
-		r.cur = r.cur.next
-		if r.cur.t.Runnable() {
-			return r.cur.t, i
+		r.cur = r.nodes[r.cur].next
+		if t := r.nodes[r.cur].t; t.Runnable() {
+			return t, i
 		}
 	}
 	return nil, r.size
@@ -141,13 +131,13 @@ func (r *Ring) NextRunnable() (*thread.Thread, int) {
 // stops the iteration; other structural changes mid-iteration are not
 // supported.
 func (r *Ring) Each(fn func(*thread.Thread) bool) {
-	n := r.cur
+	id := r.cur
 	for i := 0; i < r.size; i++ {
-		next := n.next
+		n := &r.nodes[id]
+		id = n.next
 		if !fn(n.t) {
 			return
 		}
-		n = next
 	}
 }
 
@@ -165,8 +155,7 @@ func (r *Ring) Threads() []*thread.Thread {
 
 // Contains reports whether t is in the ring.
 func (r *Ring) Contains(t *thread.Thread) bool {
-	_, ok := r.nodes[t]
-	return ok
+	return t.ID >= 0 && t.ID < len(r.nodes) && r.nodes[t.ID].t == t
 }
 
 // FIFO is the local thread queue of runnable-but-unloaded threads. The
@@ -214,22 +203,43 @@ func (q *FIFO) Peek() *thread.Thread {
 	return q.items[q.head]
 }
 
-// PopFit removes and returns the first (oldest) thread satisfying fit,
-// or nil if none does. The runtime uses this for first-fit admission:
-// when the registers freed by an unload cannot hold the queue head's
-// context, a smaller queued thread can still be admitted — scheduling
-// order is under software control (Section 2.2).
-func (q *FIFO) PopFit(fit func(*thread.Thread) bool) *thread.Thread {
+// PopFit removes and returns the oldest queued thread that fit
+// accepts, or nil if it accepts none. The runtime uses this for
+// first-fit admission: when the registers freed by an unload cannot
+// hold the queue head's context, a smaller queued thread can still be
+// admitted — scheduling order is under software control (Section 2.2).
+//
+// fit must be monotone in the register requirement: once it rejects a
+// thread needing r registers, it rejects every thread needing r or
+// more, for as long as the caller keeps *bound. *bound carries that
+// knowledge across calls (0 means nothing is known): PopFit asks fit
+// only about threads needing fewer than *bound registers, lowers *bound
+// to the requirement of each thread fit rejects, and gives up as soon
+// as *bound reaches MinRegs, since every queued thread then needs at
+// least that many.
+func (q *FIFO) PopFit(bound *int, fit func(*thread.Thread) bool) *thread.Thread {
+	min := q.MinRegs()
+	if *bound != 0 && *bound <= min {
+		return nil
+	}
 	for i := q.head; i < len(q.items); i++ {
 		t := q.items[i]
-		if fit(t) {
-			copy(q.items[i:], q.items[i+1:])
-			q.items[len(q.items)-1] = nil
-			q.items = q.items[:len(q.items)-1]
-			q.compact()
-			q.dropMin(t)
-			return t
+		if *bound != 0 && t.Regs >= *bound {
+			continue
 		}
+		if !fit(t) {
+			*bound = t.Regs
+			if t.Regs == min {
+				return nil // every queued thread needs at least min
+			}
+			continue
+		}
+		copy(q.items[i:], q.items[i+1:])
+		q.items[len(q.items)-1] = nil
+		q.items = q.items[:len(q.items)-1]
+		q.compact()
+		q.dropMin(t)
+		return t
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 
 	"regreloc/internal/thread"
@@ -195,5 +196,54 @@ func TestFIFO(t *testing.T) {
 	}
 	if q.Len() != 0 {
 		t.Error("not empty after draining")
+	}
+}
+
+// TestFIFOPopFitBound pins first-fit admission's bound: fit is asked
+// only about threads needing fewer registers than the bound, every
+// rejection lowers the bound, and a bound at MinRegs ends the scan.
+func TestFIFOPopFitBound(t *testing.T) {
+	var q FIFO
+	for i, regs := range []int{16, 24, 8, 16, 12} {
+		q.Push(thread.New(i, regs, 100))
+	}
+	var asked []int
+	fitUnder := func(free int) func(*thread.Thread) bool {
+		return func(th *thread.Thread) bool {
+			asked = append(asked, th.ID)
+			return th.Regs <= free
+		}
+	}
+	bound := 0
+	check := func(got *thread.Thread, wantID, wantBound int, wantAsked ...int) {
+		t.Helper()
+		if (got == nil) != (wantID < 0) || got != nil && got.ID != wantID {
+			t.Fatalf("PopFit returned %v, want thread %d", got, wantID)
+		}
+		if bound != wantBound {
+			t.Fatalf("bound = %d, want %d", bound, wantBound)
+		}
+		if !slices.Equal(asked, wantAsked) {
+			t.Fatalf("fit asked about %v, want %v", asked, wantAsked)
+		}
+		asked = nil
+	}
+
+	// 16 fails, so 24 is skipped; 8 fits.
+	got := q.PopFit(&bound, fitUnder(10))
+	check(got, 2, 16, 0, 2)
+	// Queue 16, 24, 16, 12: everything but 12 is at the bound, and 12
+	// failing brings the bound to MinRegs.
+	got = q.PopFit(&bound, fitUnder(10))
+	check(got, -1, 12, 4)
+	// A bound at MinRegs asks nothing.
+	got = q.PopFit(&bound, fitUnder(100))
+	check(got, -1, 12)
+	// A reset bound scans from the head again.
+	bound = 0
+	got = q.PopFit(&bound, fitUnder(16))
+	check(got, 0, 0, 0)
+	if q.Len() != 3 || q.MinRegs() != 12 {
+		t.Fatalf("queue len %d, MinRegs %d; want 3, 12", q.Len(), q.MinRegs())
 	}
 }

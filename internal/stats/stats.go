@@ -317,50 +317,56 @@ func (c *CycleAccount) Breakdown() string {
 // completion transients. Drive it with a progress measure whose final
 // value is known in advance — the node simulator uses useful cycles
 // against the population's total work, which (unlike total cycles) is
-// fixed before the run starts: call MaybeSnapshot as the run
-// progresses, then Measure at the end.
+// fixed before the run starts: call MaybeSnapshot whenever progress
+// moves, then Measure at the end.
 type Window struct {
-	// SkipHead and SkipTail are the fractions of progress excluded at
-	// the start and end (paper excludes both transients).
-	SkipHead, SkipTail float64
-
-	start     *CycleAccount
-	end       *CycleAccount
-	headTaken bool
-	tailTaken bool
+	// head and tail are the progress values at which the start and end
+	// snapshots are taken; next is the first of them not yet reached
+	// (math.MaxInt64 once both are), so MaybeSnapshot is one compare.
+	head, tail, next     int64
+	start, end           CycleAccount
+	headTaken, tailTaken bool
 }
 
-// NewWindow returns a window excluding the given head and tail
-// fractions. Typical use is NewWindow(0.1, 0.1).
-func NewWindow(skipHead, skipTail float64) *Window {
+// NewWindow returns a window over a run whose progress ends at total,
+// excluding the skipHead and skipTail fractions of it. Typical use is
+// NewWindow(0.1, 0.1, total). A snapshot is due once progress p
+// satisfies float64(p) >= skipHead*float64(total) (respectively
+// (1-skipTail)*float64(total)); the thresholds are the least such
+// integers, exact for progress below 2^53.
+func NewWindow(skipHead, skipTail float64, total int64) Window {
 	if skipHead < 0 || skipTail < 0 || skipHead+skipTail >= 1 {
 		panic("stats: invalid window fractions")
 	}
-	return &Window{SkipHead: skipHead, SkipTail: skipTail}
-}
-
-// MaybeSnapshot records the start-of-window snapshot once the run has
-// passed the head-skip point, and the end-of-window snapshot once it
-// reaches the tail-skip point. now is the progress so far and
-// expectedTotal its final value: the node simulator passes the useful
-// cycles executed so far against the total work of its thread
-// population.
-func (w *Window) MaybeSnapshot(acct *CycleAccount, now, expectedTotal int64) {
-	if !w.headTaken && float64(now) >= w.SkipHead*float64(expectedTotal) {
-		w.start = acct.Clone()
-		w.headTaken = true
-	}
-	if !w.tailTaken && float64(now) >= (1-w.SkipTail)*float64(expectedTotal) {
-		w.end = acct.Clone()
-		w.tailTaken = true
+	head := int64(math.Ceil(skipHead * float64(total)))
+	return Window{
+		head: head,
+		tail: int64(math.Ceil((1 - skipTail) * float64(total))),
+		next: head,
 	}
 }
 
-// Done reports whether both snapshots have been taken, i.e. further
-// MaybeSnapshot calls are no-ops. The simulator checks it to keep the
-// per-charge bookkeeping branch-predictable once the window has
-// closed.
-func (w *Window) Done() bool { return w.headTaken && w.tailTaken }
+// MaybeSnapshot records the start-of-window snapshot once progress now
+// has reached the head threshold, and the end-of-window snapshot once
+// it reaches the tail threshold. Progress never falls, so calling it
+// only after progress moves takes every snapshot at the same point as
+// calling it after every charge would.
+func (w *Window) MaybeSnapshot(acct *CycleAccount, now int64) {
+	if now >= w.next {
+		w.snapshot(acct, now)
+	}
+}
+
+// snapshot takes the snapshots now has reached; next was the head
+// threshold until the head was taken, and head <= tail.
+func (w *Window) snapshot(acct *CycleAccount, now int64) {
+	if !w.headTaken {
+		w.start, w.headTaken, w.next = *acct, true, w.tail
+	}
+	if now >= w.tail {
+		w.end, w.tailTaken, w.next = *acct, true, math.MaxInt64
+	}
+}
 
 // Measure returns the windowed account. With no head snapshot (a very
 // short run) the whole run is returned; with no tail snapshot the
@@ -368,10 +374,10 @@ func (w *Window) Done() bool { return w.headTaken && w.tailTaken }
 func (w *Window) Measure(final *CycleAccount) *CycleAccount {
 	end := final
 	if w.tailTaken {
-		end = w.end
+		end = &w.end
 	}
-	if !w.headTaken || w.start == nil {
+	if !w.headTaken {
 		return end.Clone()
 	}
-	return end.Sub(w.start)
+	return end.Sub(&w.start)
 }

@@ -170,16 +170,16 @@ func TestWindowExcludesTransients(t *testing.T) {
 	// Simulate a run whose head and tail are pure idle and whose middle
 	// is pure useful work; a 10%/10% window should measure ~100%
 	// efficiency.
-	w := NewWindow(0.1, 0.1)
-	var acct CycleAccount
 	const total = 10000
+	w := NewWindow(0.1, 0.1, total)
+	var acct CycleAccount
 	for now := int64(0); now < total; now += 100 {
 		if now < 1000 || now >= 9000 {
 			acct.Charge(Idle, 100)
 		} else {
 			acct.Charge(Useful, 100)
 		}
-		w.MaybeSnapshot(&acct, now+100, total)
+		w.MaybeSnapshot(&acct, now+100)
 	}
 	m := w.Measure(&acct)
 	if eff := m.Efficiency(); eff < 0.99 {
@@ -191,8 +191,28 @@ func TestWindowExcludesTransients(t *testing.T) {
 	}
 }
 
+// TestWindowThresholdsMatchFloatComparison pins the integer thresholds
+// to the float test they replaced: a snapshot is due at the first
+// progress p with float64(p) >= fraction*float64(total).
+func TestWindowThresholdsMatchFloatComparison(t *testing.T) {
+	for _, f := range [][2]float64{{0.1, 0.1}, {0.25, 0.25}, {0, 0.3}, {0.3, 0}} {
+		for total := int64(1); total <= 5000; total++ {
+			w := NewWindow(f[0], f[1], total)
+			for _, c := range []struct {
+				at   int64
+				frac float64
+			}{{w.head, f[0]}, {w.tail, 1 - f[1]}} {
+				if float64(c.at) < c.frac*float64(total) || c.at > 0 && float64(c.at-1) >= c.frac*float64(total) {
+					t.Fatalf("NewWindow(%g, %g, %d): threshold %d is not the first p with p >= %g*%d",
+						f[0], f[1], total, c.at, c.frac, total)
+				}
+			}
+		}
+	}
+}
+
 func TestWindowShortRunFallsBack(t *testing.T) {
-	w := NewWindow(0.25, 0.25)
+	w := NewWindow(0.25, 0.25, 100)
 	var acct CycleAccount
 	acct.Charge(Useful, 10)
 	// No snapshots ever taken.
@@ -210,7 +230,7 @@ func TestWindowInvalidFractionsPanic(t *testing.T) {
 					t.Errorf("NewWindow(%g,%g) did not panic", f[0], f[1])
 				}
 			}()
-			NewWindow(f[0], f[1])
+			NewWindow(f[0], f[1], 100)
 		}()
 	}
 }
