@@ -30,10 +30,11 @@ test: vet
 # drives, the serving layer (queue + worker pool), the result store
 # (internal/pointstore: stored reports, cross-job single-flight point
 # coalescing), the cluster fan-out client (hedges, retries, prober),
-# and the managed machine tier (the kernel's image memo and machine
-# pool, shared by concurrent sweep workers).
+# the managed machine tier (the kernel's image memo and machine pool,
+# shared by concurrent sweep workers), and the sampler guide-table memo
+# (internal/rng), which sweep workers also build Samplers on at once.
 test-race:
-	$(GO) test -race ./internal/experiment/... ./internal/sim/... ./internal/serve/... ./internal/pointstore/... ./internal/cluster/... ./internal/kernel/... ./internal/machine/... ./cmd/rrserved/...
+	$(GO) test -race ./internal/experiment/... ./internal/sim/... ./internal/serve/... ./internal/pointstore/... ./internal/cluster/... ./internal/kernel/... ./internal/machine/... ./internal/rng/... ./cmd/rrserved/...
 
 # End-to-end smoke test of the rrserved daemon: boot, submit a sweep
 # over HTTP, poll to completion, check cache + metrics counters, drain

@@ -154,19 +154,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	sc.Fidelity = fid
 
-	// -pointcache memoizes individual sweep points on disk, so rerunning
-	// after an interrupted or partially overlapping sweep only simulates
-	// the cells that changed. Sound because a point's bytes are a pure
+	// Every run memoizes sweep points in memory, so one invocation
+	// computes each point key once: fidelity-error's simulated half is
+	// figure5's grid. -pointcache adds a disk tier, so rerunning after an
+	// interrupted or partially overlapping sweep only simulates the
+	// cells that changed. Sound because a point's bytes are a pure
 	// function of its content address (engine version included).
-	var store *pointstore.Store
-	if *ptCache != "" {
-		var err error
-		store, err = pointstore.New(64<<20, *ptCache)
-		if err != nil {
-			fmt.Fprintf(stderr, "rrsim: %v\n", err)
-			return 1
-		}
-		sc.PointStore = store
+	store, err := pointstore.New(64<<20, *ptCache)
+	if err != nil {
+		fmt.Fprintf(stderr, "rrsim: %v\n", err)
+		return 1
+	}
+	sc.PointStore = store
+	if *ptCache == "" {
+		defer store.Close()
+	} else {
 		defer func() {
 			if err := store.SaveIndex(); err != nil {
 				fmt.Fprintf(stderr, "rrsim: saving point cache index: %v\n", err)

@@ -6,7 +6,7 @@ import "testing"
 // sparse P=64 machine at a light rate, and the dense regime the scaling
 // experiment reaches at P=512 — rate 0.05 (efficiency 0.6 over R=12),
 // ~1.4k pending events and ~50 pops per cycle — where the calendar
-// replaced the binary heap.
+// replaced a binary heap.
 func BenchmarkSimulate(b *testing.B) {
 	for _, c := range []struct {
 		name    string

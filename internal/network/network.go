@@ -92,12 +92,14 @@ type netEvent struct {
 	req     request // arrival events
 }
 
-// netState is one simulation's working set: the event calendar and
-// the per-module arrays. It is recycled across Simulate calls through
-// statePool, so the rounds of a fixed point — and a sweep worker's
-// successive points — reuse one calendar instead of allocating each.
+// netState is one simulation's working set: the event calendar, the
+// issue-gap table and the per-module arrays. It is recycled across
+// Simulate calls through statePool, so the rounds of a fixed point —
+// and a sweep worker's successive points — reuse one calendar and one
+// table's storage instead of allocating each.
 type netState struct {
 	q      sim.Calendar[netEvent]
+	gaps   rng.GapTable
 	freeAt []int64 // per module: the time the module frees up
 	busy   []int64 // per module: cycles spent in service
 }
@@ -139,9 +141,15 @@ func Simulate(cfg Config, ratePerProc float64, horizon int64, seed uint64) Resul
 	freeAt := zeroed(st.freeAt, cfg.Modules)
 	busy := zeroed(st.busy, cfg.Modules)
 
-	// Per-call constants, computed once rather than per event.
+	// Per-call constants, computed once rather than per event. Issue
+	// gaps, 1 + int64(src.Exponential(1/ratePerProc)), come from a
+	// table built for this rate and sized for the draws expected: one
+	// per issue, and each processor issues about ratePerProc*horizon
+	// times.
 	avgHops := cfg.AvgHops()
-	meanGap := 1 / ratePerProc // only used when ratePerProc > 0
+	if ratePerProc > 0 {
+		st.gaps.Build(1/ratePerProc, float64(cfg.Processors)*(1+ratePerProc*float64(horizon)))
+	}
 	transit := func() int64 {
 		// Randomize hops around the average (+/- 1 hop).
 		h := avgHops + float64(src.Intn(3)-1)*0.5
@@ -154,7 +162,7 @@ func Simulate(cfg Config, ratePerProc float64, horizon int64, seed uint64) Resul
 	// Schedule each processor's first issue.
 	for p := 0; p < cfg.Processors; p++ {
 		if ratePerProc > 0 {
-			q.Schedule(int64(src.Exponential(meanGap)), netEvent{isIssue: true, proc: p})
+			q.Schedule(st.gaps.Draw(src)-1, netEvent{isIssue: true, proc: p})
 		}
 	}
 
@@ -171,7 +179,7 @@ func Simulate(cfg Config, ratePerProc float64, horizon int64, seed uint64) Resul
 			req := request{issued: q.Now(), module: src.Intn(cfg.Modules)}
 			q.After(transit(), netEvent{req: req})
 			// ...and schedule this processor's next issue (open loop).
-			q.After(int64(src.Exponential(meanGap))+1, netEvent{isIssue: true, proc: ev.proc})
+			q.After(st.gaps.Draw(src), netEvent{isIssue: true, proc: ev.proc})
 		default:
 			m := ev.req.module
 			start := q.Now()

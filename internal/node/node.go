@@ -56,10 +56,9 @@ type Config struct {
 	ProbeCost int64
 	// Tracer, when non-nil, records a cycle-level activity timeline
 	// (see internal/trace). Tracing does not perturb the simulation: a
-	// traced run returns the same Result as an untraced one. It does
-	// keep the per-probe two-phase polling loop, so the timeline shows
-	// every probe, where an untraced run charges a streak of quiet probe
-	// passes in one step.
+	// traced run returns the same Result as an untraced one. A traced
+	// run polls pass by pass and records every probe, where an untraced
+	// run charges a streak of quiet probe passes in one step.
 	Tracer *trace.Recorder
 	// DribbleUnload models the dribbling-registers hardware the paper
 	// mentions the APRIL designers exploring (Soundararajan's
@@ -140,7 +139,7 @@ type Result struct {
 	Allocs, AllocFails, Deallocs, Loads, Unloads, Faults, Probes int64
 }
 
-// statePool recycles simulation state — the event heap, the scheduling
+// statePool recycles simulation state — the event queue, the scheduling
 // ring's nodes, the FIFO's backing array, and the generated
 // thread population — across runs. A parallel sweep worker thereby
 // reuses one working set for its whole slice of the grid instead of
@@ -292,12 +291,10 @@ func (s *state) foldResidency() {
 // processDueEvents handles fault completions due at or before now.
 func (s *state) processDueEvents() {
 	for {
-		// PeekTime and Now inline but PopDue does not, so checking
-		// first skips a call on the common path, where nothing is due.
-		if at, ok := s.events.PeekTime(); !ok || at > s.events.Now() {
+		t, ok := s.events.PopDue()
+		if !ok {
 			return
 		}
-		t, _ := s.events.PopDue()
 		switch t.State {
 		case thread.BlockedResident:
 			t.State = thread.ReadyResident
@@ -443,91 +440,126 @@ func (s *state) runSegment(cur *thread.Thread) {
 // polling cost reaches its unload cost is unloaded, freeing registers.
 // Returns true if it made progress (probed or unloaded), false if the
 // caller should idle.
+//
+// One loop runs the pass, traced or not. It looks up the policy once
+// and charges spin cycles in one step: a probe only adds its cost to
+// the uncharged spin, which is charged when a probe ends at or after
+// the next pending completion (so processDueEvents sees the clock the
+// per-probe charges would have left), and when the pass ends. Nothing
+// reads the clock or the account in between, so every total and every
+// later charge's start time are those of charging each probe as it
+// happens. A tracer gets each probe's entry at the cycle it starts.
+//
+// Without a tracer, the pass also charges the streak of quiet passes
+// ahead of it (quietPasses): k passes add k probes' spin to the
+// uncharged spin and k probes' poll cost to every context still
+// blocked when the loop reaches it. A context that completes during
+// the pass gets none, as the per-probe loop's poll costs would have
+// been reset by its completion; once the pass stops, the loop only
+// adds the remaining contexts' poll costs, and the probed context is
+// unloaded after it, which changes nothing the additions read.
 func (s *state) trySwitchSpin() bool {
 	if s.queue.Len() == 0 || s.ring.Len() == 0 {
 		return false
 	}
-	if s.cfg.Tracer == nil {
-		s.chargeQuietPasses()
+	pol := s.cfg.Policy
+	_, never := pol.(policy.Never)
+	_, twoPhase := pol.(policy.TwoPhase)
+	tr := s.cfg.Tracer
+	cost := s.cfg.ProbeCost
+	next, pending := s.events.PeekTime()
+	var k int64
+	if tr == nil && pending && (never || twoPhase) {
+		k = s.quietPasses(next, twoPhase)
 	}
+	poll := k * cost
+	probes := k * int64(s.ring.Len())
+	spun := probes * cost // uncharged spin cycles
+	stopped := false
+	var victim *thread.Thread // the probed context to unload
 	// Each iterates the live ring without allocating a snapshot; the
-	// probe loop never changes ring membership except when it stops
-	// (resuming or unloading the probed context).
-	progressed := false
-	resumed := false
+	// loop changes no ring membership, since the unload waits for it.
 	s.ring.Each(func(t *thread.Thread) bool {
 		if t.State != thread.BlockedResident {
 			return true
 		}
-		// Probe: switch in, test, fail, switch away.
-		s.chargeFor(stats.Spin, s.cfg.ProbeCost, t.ID)
-		t.PollCost += s.cfg.ProbeCost
-		s.res.Probes++
-		progressed = true
-		s.processDueEvents()
-		if t.State != thread.BlockedResident {
-			// Its fault completed while probing; run it.
-			resumed = true
-			return false
+		t.PollCost += poll
+		if stopped {
+			return true
 		}
-		if s.cfg.Policy.ShouldUnload(t) {
-			s.unload(t)
-			resumed = true
-			return false
+		// Probe: switch in, test, fail, switch away.
+		if tr != nil {
+			tr.Record(s.events.Now()+spun, cost, t.ID, stats.Spin)
+		}
+		spun += cost
+		t.PollCost += cost
+		probes++
+		if pending && s.events.Now()+spun >= next {
+			s.chargeSpin(spun)
+			spun = 0
+			s.processDueEvents()
+			next, pending = s.events.PeekTime()
+			if t.State != thread.BlockedResident {
+				// Its fault completed while probing; run it.
+				stopped = true
+				return poll > 0
+			}
+		}
+		var unload bool
+		switch {
+		case never:
+		case twoPhase:
+			unload = policy.TwoPhase{}.ShouldUnload(t)
+		default:
+			unload = pol.ShouldUnload(t)
+		}
+		if unload {
+			victim, stopped = t, true
+			return poll > 0
 		}
 		return true
 	})
-	return progressed || resumed
+	s.chargeSpin(spun)
+	if victim != nil {
+		s.unload(victim)
+	}
+	s.res.Probes += probes
+	return probes > 0
 }
 
-// chargeQuietPasses charges, in one step, the longest streak of whole
-// probe passes in which nothing happens: no fault completion falls due
-// and no probed context reaches its unload threshold. trySwitchSpin
-// runs only when no resident context is runnable, so a pass probes
-// every context in the ring. A quiet pass leaves the ring pointer where
-// it was, cannot admit a thread (fill is a no-op while failMin holds,
-// and nothing frees registers), and executes no useful work, so no
-// window snapshot can fire. k quiet passes therefore add exactly k
-// times one pass's spin cycles, probes and poll costs, and leave the
-// ring, and so the resident and waste integrals, as the per-probe
-// charges would. The per-probe loop then runs the pass in which
-// something happens.
+// chargeSpin charges n cycles of probing whose trace entries, if any,
+// are already recorded.
+func (s *state) chargeSpin(n int64) {
+	s.acct.Charge(stats.Spin, n)
+	s.advanceClock(n)
+}
+
+// quietPasses returns the length of the streak of whole probe passes
+// ahead in which nothing happens: no fault completion falls due and no
+// probed context reaches its unload threshold. trySwitchSpin runs only
+// when no resident context is runnable, so a pass probes every context
+// in the ring. A quiet pass leaves the ring pointer where it was,
+// cannot admit a thread (fill is a no-op while failMin holds, and
+// nothing frees registers), and executes no useful work, so no window
+// snapshot can fire. k quiet passes therefore add exactly k times one
+// pass's spin cycles, probes and poll costs, and leave the ring, and
+// so the resident and waste integrals, as the per-probe charges would.
 //
-// k is bounded by the next event: the k-th pass must end before it
-// falls due. Under TwoPhase every context's poll cost must also stay
-// below its unload cost; Never has no such bound. Any other policy
-// keeps the per-probe loop.
-func (s *state) chargeQuietPasses() {
-	next, ok := s.events.PeekTime()
-	if !ok {
-		return
-	}
-	n := int64(s.ring.Len())
-	pass := n * s.cfg.ProbeCost
-	k := (next - s.events.Now() - 1) / pass
-	switch s.cfg.Policy.(type) {
-	case policy.Never:
-	case policy.TwoPhase:
+// The streak is bounded by next, the next event: its last pass must
+// end before it falls due. Under TwoPhase every context's poll cost
+// must also stay below its unload cost; Never has no such bound, and
+// trySwitchSpin asks any other policy after every probe instead.
+func (s *state) quietPasses(next sim.Cycles, twoPhase bool) int64 {
+	k := (next - s.events.Now() - 1) / (int64(s.ring.Len()) * s.cfg.ProbeCost)
+	if k > 0 && twoPhase {
 		s.ring.Each(func(t *thread.Thread) bool {
 			if h := (t.UnloadCost() - t.PollCost - 1) / s.cfg.ProbeCost; h < k {
 				k = h
 			}
 			return k > 0
 		})
-	default:
-		return
 	}
-	if k <= 0 {
-		return
-	}
-	poll := k * s.cfg.ProbeCost
-	s.ring.Each(func(t *thread.Thread) bool {
-		t.PollCost += poll
-		return true
-	})
-	s.res.Probes += k * n
-	s.acct.Charge(stats.Spin, k*pass)
-	s.advanceClock(k * pass)
+	return max(k, 0)
 }
 
 // unload evicts a blocked resident thread, freeing its context.

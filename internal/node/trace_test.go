@@ -11,10 +11,10 @@ import (
 )
 
 // TestTracingDoesNotPerturb pins the Config.Tracer contract: a traced
-// run returns the same Result as an untraced one. A traced run keeps
-// the per-probe polling loop while an untraced one charges quiet probe
-// passes in bulk (chargeQuietPasses), so this is also the differential
-// test of the bulk charge against the per-probe loop, over every
+// run returns the same Result as an untraced one. A traced run polls
+// pass by pass while an untraced one charges streaks of quiet probe
+// passes in bulk (quietPasses), so this is also the differential test
+// of the bulk charge against pass-by-pass polling, over every
 // unloading policy, with and without dribbled unloads, both
 // architectures, two register-file sizes, and cache, synchronization,
 // churn-regime and combined workloads.

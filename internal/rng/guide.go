@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 )
 
@@ -68,15 +69,16 @@ func guideBits(mean float64) uint {
 	return uint(b)
 }
 
-// buildGuide builds the table over 2^bits buckets for a draw whose real
-// value is x(m), non-negative and non-decreasing in m, and whose answer
-// is out(x). It returns noGuide when no bucket can answer, which is
-// also what a degenerate mean gets: one whose first bucket's x is NaN
-// (a geometric mean so large that ln(1-1/mean) rounds to 0, or an
-// infinite exponential one) or spans a whole step.
-func buildGuide(bits uint, x func(m uint64) float64, out func(x float64) int) guide {
-	shift := 53 - bits
-	answer := make([]uint16, 1<<bits)
+// buildGuide builds the table in answer, one bucket per entry (a power
+// of two of them), for a draw whose real value is x(m), non-negative
+// and non-decreasing in m, and whose answer is out(x). It returns
+// noGuide when no bucket can answer, which is also what a degenerate
+// mean gets: one whose first bucket's x is NaN (a geometric mean so
+// large that ln(1-1/mean) rounds to 0, or an infinite exponential one)
+// or spans a whole step.
+func buildGuide(answer []uint16, x func(m uint64) float64, out func(x float64) int) guide {
+	shift := 53 - uint(bits.TrailingZeros(uint(len(answer))))
+	clear(answer)
 	hits := 0
 	for j := range answer {
 		lo := x(uint64(j) << shift)
@@ -107,7 +109,7 @@ func buildGuide(bits uint, x func(m uint64) float64, out func(x float64) int) gu
 // geometricGuide is the table for Source.Geometric with the given mean
 // (> 1) and logQ = ln(1-1/mean).
 func geometricGuide(mean, logQ float64) guide {
-	return buildGuide(guideBits(mean),
+	return buildGuide(make([]uint16, 1<<guideBits(mean)),
 		func(m uint64) float64 { return math.Log(unit(m)) / logQ },
 		func(x float64) int { return runLength(x, mean) })
 }
@@ -115,10 +117,66 @@ func geometricGuide(mean, logQ float64) guide {
 // exponentialGuide is the table for Exponential.Sample with the given
 // mean (> 0).
 func exponentialGuide(mean float64) guide {
-	return buildGuide(guideBits(mean),
+	return buildGuide(make([]uint16, 1<<guideBits(mean)),
 		func(m uint64) float64 { return exponentialAt(m, mean) },
 		latency)
 }
+
+// GapTable draws the whole-cycle gaps of a Poisson process,
+// 1 + int64(Source.Exponential(mean)), the issue gaps of the network
+// simulator, from a guide table over the floor output function gap.
+// Like a Sampler, it returns exactly the formula's value and consumes
+// one Uint64 per draw.
+//
+// Unlike a Sampler's tables, a GapTable is built for one use and never
+// enters the shared memo: the network's fixed point draws at a new
+// continuous mean every round, which would fill the memo's slots that
+// the node simulator's samplers rely on. Build reuses the table's
+// storage, so a pooled GapTable rebuilds without allocating.
+type GapTable struct {
+	mean  float64
+	guide guide
+	buf   []uint16 // the table's storage, kept across Builds
+}
+
+// Build readies the table for gaps of the given mean (> 0), expecting
+// about draws of them. Building a bucket costs two formula evaluations
+// and a draw the table cannot answer costs one, so the table is sized
+// as guideBits does but with at most a quarter as many buckets as
+// draws. It is not built at all when that leaves fewer than 16·mean
+// buckets (⌈log2 mean⌉+4 bits): a coarser table answers under about
+// three quarters of the draws and would not pay for itself.
+func (g *GapTable) Build(mean, draws float64) {
+	g.mean, g.guide = mean, noGuide
+	b := min(float64(guideBits(mean)), math.Floor(math.Log2(draws/4)))
+	if !(b >= max(8, math.Ceil(math.Log2(mean))+4)) { // also catches NaN
+		return
+	}
+	n := 1 << uint(b)
+	if cap(g.buf) < n {
+		g.buf = make([]uint16, n)
+	}
+	g.guide = buildGuide(g.buf[:n],
+		func(m uint64) float64 { return exponentialAt(m, mean) },
+		gap)
+}
+
+// Draw returns 1 + int64(src.Exponential(mean)) for the table's mean.
+func (g *GapTable) Draw(src *Source) int64 { return g.at(src.Uint64() >> 11) }
+
+// at is Draw's value for the 53-bit draw m: the table's answer, or
+// else the formula's.
+func (g *GapTable) at(m uint64) int64 {
+	if k := g.guide.lookup(m); k != 0 {
+		return int64(k)
+	}
+	return int64(exponentialAt(m, g.mean)) + 1
+}
+
+// gap is GapTable's output function: the whole cycles in an
+// exponential draw v, plus one. It is non-decreasing in v and at least
+// 1, as the guide tables require.
+func gap(v float64) int { return int(v) + 1 }
 
 // guideKey names a memoized table: the leaf kind whose formula it
 // answers for (leafGeometric or leafExponential) and the mean.

@@ -11,10 +11,11 @@ import (
 // maintained to implement different thread classes or priorities":
 // one NextRRM ring per class, searched from the highest priority
 // (class 0) downward. Because scheduling is entirely in software, the
-// structure is just data — no hardware change is implied.
+// structure is just data — no hardware change is implied. The rings are
+// the only membership record: a thread's class is the ring that holds
+// it.
 type PriorityRings struct {
 	rings []*Ring
-	class map[*thread.Thread]int
 }
 
 // NewPriorityRings returns a scheduler with the given number of
@@ -23,10 +24,7 @@ func NewPriorityRings(classes int) *PriorityRings {
 	if classes < 1 {
 		panic("sched: need at least one priority class")
 	}
-	p := &PriorityRings{
-		rings: make([]*Ring, classes),
-		class: make(map[*thread.Thread]int),
-	}
+	p := &PriorityRings{rings: make([]*Ring, classes)}
 	for i := range p.rings {
 		p.rings[i] = NewRing()
 	}
@@ -50,27 +48,29 @@ func (p *PriorityRings) Add(t *thread.Thread, class int) {
 	if class < 0 || class >= len(p.rings) {
 		panic(fmt.Sprintf("sched: invalid class %d", class))
 	}
-	if _, dup := p.class[t]; dup {
+	if _, dup := p.ClassOf(t); dup {
 		panic(fmt.Sprintf("sched: thread %d already scheduled", t.ID))
 	}
 	p.rings[class].Add(t)
-	p.class[t] = class
 }
 
 // Remove unlinks t from its ring.
 func (p *PriorityRings) Remove(t *thread.Thread) {
-	class, ok := p.class[t]
+	class, ok := p.ClassOf(t)
 	if !ok {
 		panic(fmt.Sprintf("sched: thread %d not scheduled", t.ID))
 	}
 	p.rings[class].Remove(t)
-	delete(p.class, t)
 }
 
-// ClassOf returns the class t was added with.
+// ClassOf returns the class t was added with: the ring that holds it.
 func (p *PriorityRings) ClassOf(t *thread.Thread) (int, bool) {
-	c, ok := p.class[t]
-	return c, ok
+	for c, r := range p.rings {
+		if r.Contains(t) {
+			return c, true
+		}
+	}
+	return 0, false
 }
 
 // SetClass moves t to another class (software reprioritization: just a

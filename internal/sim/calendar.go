@@ -9,8 +9,8 @@ import (
 // ring, a power of two. The network co-simulation schedules nearly
 // every event within a few dozen cycles (a transit, or a Poisson issue
 // gap around 20 cycles at the rates the scaling experiment reaches),
-// so events due beyond the span are rare there and take the overflow
-// heap.
+// so events due beyond the span are rare there and wait in the
+// overflow queue.
 const (
 	calendarSpan  = 256
 	calendarMask  = calendarSpan - 1
@@ -27,7 +27,8 @@ type calNode[T any] struct {
 // Calendar is a discrete-event queue for dense traffic: many pending
 // events, nearly all due within calendarSpan cycles of the clock. It
 // pops events in exactly Queue's order — by due time, FIFO among equal
-// times — at O(1) per operation instead of O(log n).
+// times — at O(1) per operation however due times arrive, where a Queue
+// pays O(pending) for each event due before others already pending.
 //
 // The ring holds one FIFO bucket per cycle of [Now, Now+calendarSpan),
 // each a linked list through a shared slab, with an occupancy bitmap
@@ -35,7 +36,7 @@ type calNode[T any] struct {
 // overflow Queue. Whenever the clock advances, the overflow events
 // that came within the span move into their buckets before anything
 // else can be scheduled at their times, so every bucket stays in
-// schedule order. The slab, its free list and the overflow heap keep
+// schedule order. The slab, its free list and the overflow queue keep
 // their capacity across Reset, so a reused Calendar schedules and pops
 // without allocating.
 //

@@ -92,7 +92,7 @@ func matchesQueue(t *testing.T, c *Calendar[int], ops []calOp) bool {
 
 // TestCalendarMatchesQueue is the calendar's differential property:
 // over random interleavings of schedules and pops, it pops exactly the
-// (time, payload) sequence of the binary-heap Queue.
+// (time, payload) sequence of the sorted-slice Queue.
 func TestCalendarMatchesQueue(t *testing.T) {
 	var c Calendar[int]
 	f := func(words []uint32) bool {
@@ -205,7 +205,7 @@ func TestCalendarReset(t *testing.T) {
 
 // TestCalendarScheduleAllocFree is the calendar's allocation gate,
 // the counterpart of TestScheduleAllocFree: once its slab, free list
-// and overflow heap have grown to their working size — here with ring
+// and overflow queue have grown to their working size — here with ring
 // and overflow traffic both — and across a Reset, a schedule/pop cycle
 // must not allocate.
 func TestCalendarScheduleAllocFree(t *testing.T) {

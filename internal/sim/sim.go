@@ -7,17 +7,19 @@
 // package supports.
 //
 // The queue is generic over its payload type and stores events by
-// value in a hand-rolled binary heap, so scheduling and popping do not
-// allocate in steady state: no per-event heap object, no interface
-// boxing, no heap.Interface method dispatch. The node simulator
-// schedules one event per simulated fault — millions per sweep — which
-// made the previous *Event + Payload any design the top allocation
-// site of the whole repository.
+// value in one slice kept sorted by due time, so scheduling and popping
+// do not allocate in steady state: no per-event heap object, no
+// interface boxing. The node simulator schedules one event per
+// simulated fault — millions per sweep — which made the previous
+// *Event + Payload any design the top allocation site of the whole
+// repository. Its completions mostly arrive in due-time order (every
+// one, under a constant fault latency), so a new event usually lands at
+// the back of the slice and a pop takes the front, both in O(1).
 //
 // Calendar is the same contract for dense traffic — over a thousand
 // pending events, nearly all due within a few hundred cycles — as in
-// the network co-simulation: a ring of per-cycle buckets replaces the
-// heap's O(log n) sifts with O(1) bucket operations.
+// the network co-simulation: a ring of per-cycle buckets makes every
+// schedule and pop O(1) however the due times arrive.
 package sim
 
 import "fmt"
@@ -25,35 +27,40 @@ import "fmt"
 // Cycles is a simulation timestamp in processor cycles.
 type Cycles = int64
 
-// entry is one pending event, stored by value in the heap slice.
+// entry is one pending event, stored by value in the queue's slice.
 type entry[T any] struct {
 	at      Cycles
-	seq     uint64 // tie-break so equal-time events pop FIFO
 	payload T
 }
 
 // Queue is a discrete-event queue with a monotonic clock. The zero
 // value is ready to use at time 0.
+//
+// Pending events sit in one slice sorted by due time, equal times in
+// schedule order, and pop from its front. Schedule finds a new event's
+// place by scanning back from the newest entry, so it costs O(1) when
+// the event falls due at or after every pending one and O(pending)
+// otherwise: each pending event due later moves back one slot. Pops are
+// O(1). Popped slots at the front are reclaimed when the queue drains,
+// or by one copy when the slice is full and at least half of it has
+// been popped.
 type Queue[T any] struct {
-	now     Cycles
-	events  []entry[T] // binary min-heap by (at, seq)
-	nextSeq uint64
+	now    Cycles
+	events []entry[T] // events[head:] are pending, sorted by (at, schedule order)
+	head   int
 }
 
 // Now returns the current simulation time.
 func (q *Queue[T]) Now() Cycles { return q.now }
 
 // Reset returns the queue to time 0 with no pending events, retaining
-// the heap slice's capacity so a reused queue schedules without
-// allocating. Pending payloads are zeroed so they do not pin their
-// referents.
+// the slice's capacity so a reused queue schedules without allocating.
+// Pending payloads are zeroed so they do not pin their referents.
 func (q *Queue[T]) Reset() {
-	for i := range q.events {
-		q.events[i] = entry[T]{}
-	}
+	clear(q.events[q.head:])
 	q.events = q.events[:0]
+	q.head = 0
 	q.now = 0
-	q.nextSeq = 0
 }
 
 // Advance moves the clock forward by d cycles. It panics on negative d
@@ -66,9 +73,9 @@ func (q *Queue[T]) Advance(d Cycles) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative advance %d", d))
 	}
-	if len(q.events) > 0 && q.now+d > q.events[0].at {
+	if at, ok := q.PeekTime(); ok && q.now+d > at {
 		panic(fmt.Sprintf("sim: Advance(%d) from %d past pending event at %d; drain due events first or use AdvanceTo",
-			d, q.now, q.events[0].at))
+			d, q.now, at))
 	}
 	q.now += d
 }
@@ -83,14 +90,25 @@ func (q *Queue[T]) AdvanceTo(t Cycles) {
 	q.now = t
 }
 
-// Schedule enqueues payload to occur at absolute time at (>= Now).
+// Schedule enqueues payload to occur at absolute time at (>= Now),
+// after every pending event due at or before at.
 func (q *Queue[T]) Schedule(at Cycles, payload T) {
 	if at < q.now {
 		panic(fmt.Sprintf("sim: scheduling at %d in the past (now %d)", at, q.now))
 	}
-	q.nextSeq++
-	q.events = append(q.events, entry[T]{at: at, seq: q.nextSeq, payload: payload})
-	q.up(len(q.events) - 1)
+	if len(q.events) == cap(q.events) && 2*q.head >= len(q.events) {
+		// Reclaim the popped front instead of growing the slice.
+		n := copy(q.events, q.events[q.head:])
+		clear(q.events[n:])
+		q.events, q.head = q.events[:n], 0
+	}
+	q.events = append(q.events, entry[T]{})
+	i := len(q.events) - 1
+	for i > q.head && q.events[i-1].at > at {
+		q.events[i] = q.events[i-1]
+		i--
+	}
+	q.events[i] = entry[T]{at: at, payload: payload}
 }
 
 // After enqueues payload d cycles from now.
@@ -99,90 +117,48 @@ func (q *Queue[T]) After(d Cycles, payload T) {
 }
 
 // Len returns the number of pending events.
-func (q *Queue[T]) Len() int { return len(q.events) }
+func (q *Queue[T]) Len() int { return len(q.events) - q.head }
 
 // PeekTime returns the due time of the earliest pending event, or ok =
 // false if the queue is empty.
 func (q *Queue[T]) PeekTime() (Cycles, bool) {
-	if len(q.events) == 0 {
+	if q.head == len(q.events) {
 		return 0, false
 	}
-	return q.events[0].at, true
+	return q.events[q.head].at, true
 }
 
 // PopDue removes and returns the earliest payload if it is due at or
 // before the current time; ok is false when nothing is due.
 func (q *Queue[T]) PopDue() (payload T, ok bool) {
-	if len(q.events) == 0 || q.events[0].at > q.now {
-		var zero T
-		return zero, false
+	if q.head == len(q.events) || q.events[q.head].at > q.now {
+		return payload, false
 	}
-	payload = q.events[0].payload
-	q.removeRoot()
-	return payload, true
+	return q.pop(), true
 }
 
 // PopNext removes and returns the earliest payload regardless of the
 // clock, advancing the clock to its time; ok is false when empty.
 func (q *Queue[T]) PopNext() (payload T, ok bool) {
-	if len(q.events) == 0 {
-		var zero T
-		return zero, false
+	if q.head == len(q.events) {
+		return payload, false
 	}
-	payload = q.events[0].payload
-	q.now = q.events[0].at
-	q.removeRoot()
-	return payload, true
+	q.now = q.events[q.head].at
+	return q.pop(), true
 }
 
-// removeRoot deletes the earliest entry, restoring heap order. The
-// vacated tail slot is zeroed so pointer payloads do not pin their
-// referents; the slice's capacity is retained, which is what makes the
-// schedule/pop cycle allocation-free once the queue has warmed up.
-func (q *Queue[T]) removeRoot() {
-	n := len(q.events) - 1
-	q.events[0] = q.events[n]
-	q.events[n] = entry[T]{}
-	q.events = q.events[:n]
-	q.down(0)
-}
-
-// less orders the heap by due time, then FIFO by sequence.
-func (q *Queue[T]) less(i, j int) bool {
-	a, b := &q.events[i], &q.events[j]
-	if a.at != b.at {
-		return a.at < b.at
+// pop removes the front entry. Its slot is zeroed so pointer payloads
+// do not pin their referents, and a drained queue starts again from the
+// front of its slice, whose capacity is retained: that is what makes
+// the schedule/pop cycle allocation-free once the queue has warmed up.
+func (q *Queue[T]) pop() T {
+	e := &q.events[q.head]
+	payload := e.payload
+	*e = entry[T]{}
+	q.head++
+	if q.head == len(q.events) {
+		q.events = q.events[:0]
+		q.head = 0
 	}
-	return a.seq < b.seq
-}
-
-// up restores the heap invariant after inserting at index i.
-func (q *Queue[T]) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q.events[i], q.events[parent] = q.events[parent], q.events[i]
-		i = parent
-	}
-}
-
-// down restores the heap invariant after replacing index i.
-func (q *Queue[T]) down(i int) {
-	n := len(q.events)
-	for {
-		child := 2*i + 1
-		if child >= n {
-			break
-		}
-		if r := child + 1; r < n && q.less(r, child) {
-			child = r
-		}
-		if !q.less(child, i) {
-			break
-		}
-		q.events[i], q.events[child] = q.events[child], q.events[i]
-		i = child
-	}
+	return payload
 }
