@@ -156,12 +156,12 @@ func runMachineCellForTest(t *testing.T) float64 {
 }
 
 // TestMachineCellAllocs pins a warm machine cell's allocations. A
-// cell reuses a pooled machine (its 64 Ki-entry predecode table and
-// 256 KiB memory) and the memoized kernel image, so what remains is
-// the manager's own bookkeeping: about 50 small allocations and
-// 2.5 KB. Building a machine per cell costs about 1,500 allocations
-// and 3.3 MB; assembling the image per cell, about 1,300 allocations
-// and 220 KB.
+// cell reuses a pooled machine (its 256 KiB memory and the predecode
+// cache its code has grown) and the memoized kernel image, so what
+// remains is the manager's own bookkeeping: about 50 small allocations
+// and 2.5 KB. Building a machine per cell costs about 300 KB, most of
+// it the memory; assembling the image per cell, about 1,300
+// allocations and 220 KB.
 func TestMachineCellAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("AllocsPerRun is not meaningful under -race")

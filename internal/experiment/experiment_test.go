@@ -2,9 +2,12 @@ package experiment
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"regreloc/internal/thread"
 )
 
 // tiny is an even smaller scale than Quick, for unit tests that run
@@ -137,27 +140,43 @@ func TestAnalyticAgreesWithSimulation(t *testing.T) {
 	}
 }
 
+// TestFigure3Experiment pins the measured context switch, inside the
+// paper's 4-6 cycles, to the 4.998250 docs/data/figure3.csv holds, at
+// every scale: the machine's cycle count decides it, not the scale.
 func TestFigure3Experiment(t *testing.T) {
 	e, _ := Get("figure3")
-	r := e.Run(1, tiny)
-	if len(r.Points) != 1 {
-		t.Fatalf("figure3 points = %d: %v", len(r.Points), r.Notes)
-	}
-	if c := r.Points[0].Eff; c < 4 || c > 6 {
-		t.Errorf("context switch cost %.2f outside the paper's 4-6 cycles", c)
+	for _, scale := range []Scale{tiny, Quick, Full} {
+		r := e.Run(1, scale)
+		if len(r.Points) != 1 {
+			t.Fatalf("figure3 points = %d: %v", len(r.Points), r.Notes)
+		}
+		if c := r.Points[0].Eff; fmt.Sprintf("%.6f", c) != "4.998250" {
+			t.Errorf("%+v: context switch cost %.6f cycles; want 4.998250", scale, c)
+		}
 	}
 }
 
+// TestFigure4Experiment pins the ISA-measured unloads of Section 2.5's
+// routine, 21, 29 and 45 cycles for C = 8, 16 and 32, and the model's
+// charge, thread.UnloadCost (C+10), exactly 3 cycles below each. It
+// fails when either the machine's cycle count or the model changes.
 func TestFigure4Experiment(t *testing.T) {
 	e, _ := Get("figure4")
 	r := e.Run(1, tiny)
 	if len(r.Points) != 3 {
 		t.Fatalf("figure4 measured %d unload costs: %v", len(r.Points), r.Notes)
 	}
-	// ISA-measured unload costs must scale ~1 cycle per register.
-	diff := r.Points[1].Eff - r.Points[0].Eff
-	if diff != 8 {
-		t.Errorf("unload cost delta for 8 extra registers = %.0f", diff)
+	for i, want := range []struct {
+		c      int
+		cycles float64
+	}{{8, 21}, {16, 29}, {32, 45}} {
+		p := r.Points[i]
+		if p.Arch != fmt.Sprintf("C=%d", want.c) || p.Eff != want.cycles {
+			t.Errorf("point %d: %s unload %.0f cycles; want C=%d, %.0f", i, p.Arch, p.Eff, want.c, want.cycles)
+		}
+		if model := (&thread.Thread{Regs: want.c}).UnloadCost(); float64(model) != p.Eff-3 {
+			t.Errorf("C=%d: model charges %d cycles, measured %.0f; want exactly 3 below", want.c, model, p.Eff)
+		}
 	}
 }
 

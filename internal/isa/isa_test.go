@@ -190,3 +190,45 @@ func TestMaxContextSize(t *testing.T) {
 		t.Errorf("MaxContextSize = %d; paper examples assume 2^6", MaxContextSize)
 	}
 }
+
+// FuzzDecode: any word decodes and disassembles without a panic, a
+// word with a valid opcode is the encoding of its decode, and an
+// instruction built from the fuzzed fields survives Encode then Decode
+// on every field its format encodes. Seeds are under testdata/fuzz.
+func FuzzDecode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, w uint32, rs2 uint8, imm int32) {
+		in := Decode(Word(w))
+		_ = Disassemble(in)
+		if in.Op >= numOps {
+			return
+		}
+		if back := Encode(in); back != Word(w) {
+			t.Fatalf("%#08x decodes to %s, which encodes to %#08x", w, Disassemble(in), back)
+		}
+
+		// Replace rs2 and the immediate with fuzzed values cut to the
+		// format's field: an encoding with an immediate overlays rs2
+		// (imm14) or rs1 and rs2 (lui's imm20), so those are the fields
+		// the format does not encode.
+		x := in
+		x.Rs2 = int(rs2 & fieldMax)
+		encRs1, encRs2 := true, false
+		switch FormatOf(x.Op) {
+		case FormatRI, FormatRRI, FormatMem, FormatBranch, FormatJal:
+			if x.Op == LUI {
+				x.Imm = imm & (1<<20 - 1)
+				encRs1 = false
+			} else {
+				x.Imm = imm << 18 >> 18
+			}
+		default:
+			x.Imm = imm << 24 >> 24
+			encRs2 = true
+		}
+		got := Decode(Encode(x))
+		if got.Op != x.Op || got.Rd != x.Rd || got.Imm != x.Imm ||
+			encRs1 && got.Rs1 != x.Rs1 || encRs2 && got.Rs2 != x.Rs2 {
+			t.Fatalf("%+v round-trips to %+v", x, got)
+		}
+	})
+}

@@ -19,17 +19,45 @@ func BenchmarkManagedRun(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for t := 0; t < 12; t++ {
-			mgr.Spawn(fmt.Sprintf("w%d", t), "worker", 5)
-		}
-		c, err := mgr.Run(3_000_000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cycles = c
+		cycles = runManagedCell(b, mgr)
 		mgr.Release()
 	}
 	b.ReportMetric(float64(cycles), "machine-cycles")
+}
+
+// BenchmarkManagedCellCold runs BenchmarkManagedRun's cell on a new
+// machine each iteration, taken through newManager as NewManager takes
+// one when the pool has none for its P. Its B/op and allocs/op are
+// what a machine costs to build and to grow its predecode cache over
+// the code the cell runs; the image is memoized, as in a sweep.
+func BenchmarkManagedCellCold(b *testing.B) {
+	img, err := images.get(WorkerSource())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	var cycles int64
+	for i := 0; i < b.N; i++ {
+		mgr, err := newManager(managedMachine(), img)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cycles = runManagedCell(b, mgr)
+	}
+	b.ReportMetric(float64(cycles), "machine-cycles")
+}
+
+// runManagedCell spawns the benchmarks' 12 workers on mgr, runs them to
+// completion and returns the machine cycles taken.
+func runManagedCell(tb testing.TB, mgr *Manager) int64 {
+	for t := 0; t < 12; t++ {
+		mgr.Spawn(fmt.Sprintf("w%d", t), "worker", 5)
+	}
+	cycles, err := mgr.Run(3_000_000)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return cycles
 }
 
 // BenchmarkYieldRoundTrip measures real-time cost of simulated context

@@ -277,8 +277,8 @@ func (c *imageMemo) get(userSrc string) (*image, error) {
 
 // machines recycles managed machines, as the node simulator's
 // statePool recycles its state: Release resets a machine in place,
-// keeping its 64 Ki-entry predecode table, and NewManager takes it
-// back.
+// keeping its memory and the predecode cache its code has grown (a few
+// dozen kilobytes for this image), and NewManager takes it back.
 var machines = sync.Pool{New: func() any {
 	return machine.New(machine.Config{Registers: 128, MultiRRM: true})
 }}

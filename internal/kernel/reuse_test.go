@@ -3,6 +3,7 @@ package kernel
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"regreloc/internal/asm"
 	"regreloc/internal/isa"
 	"regreloc/internal/machine"
+	"regreloc/internal/testutil"
 )
 
 // runLengthWorker is a worker with an explicit run length, the shape
@@ -78,6 +80,32 @@ func runCell(t *testing.T, m *machine.Machine, src string) cellRun {
 
 func managedMachine() *machine.Machine {
 	return machine.New(machine.Config{Registers: 128, MultiRRM: true})
+}
+
+// TestColdManagedCellFootprint bounds a managed cell on a new machine,
+// as a P whose pool is empty runs one: machine.New plus the cell must
+// allocate under 1 MiB in total. The machine's 256 KiB of memory is
+// most of that; a predecode table sized to memory (64 Ki entries,
+// about 2.6 MB) fails it.
+func TestColdManagedCellFootprint(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	img, err := images.get(WorkerSource())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	mgr, err := newManager(managedMachine(), img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runManagedCell(t, mgr)
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Errorf("machine.New plus one managed cell allocated %d bytes; want under 1 MiB", n)
+	}
 }
 
 // TestReusedMachineMatchesFresh runs one machine through a grid of

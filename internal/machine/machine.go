@@ -95,15 +95,10 @@ type Machine struct {
 	// completes only once the data has arrived.
 	OnRemoteMiss func(addr int, latency uint32) (newPC int, redirect bool)
 
-	// code / codeWords form the predecode cache: code[a] is the decoded
-	// form of the word codeWords[a]. Step validates an entry by comparing
-	// codeWords[a] against Mem[a], so the cache is sound against any
-	// store into code memory (self-modifying programs, Load over old
-	// code, Reset, direct Mem pokes in tests) without invalidation
-	// hooks. The zero entry is valid for a zero word because
-	// isa.Decode(0) is the zero Instr.
-	code      []isa.Instr
-	codeWords []uint32
+	// code is the predecode cache: code[a] is the decoded form of the
+	// word code[a].word, for the addresses fetched so far (see
+	// predecode). New leaves it empty and Reset keeps it.
+	code []decoded
 
 	// arrived tracks remote words whose data has been fetched.
 	arrived map[int]bool
@@ -133,11 +128,9 @@ var ErrBudget = errors.New("cycle budget exhausted")
 func New(cfg Config) *Machine {
 	cfg = cfg.withDefaults()
 	m := &Machine{
-		cfg:       cfg,
-		RF:        regfile.New(cfg.Registers, cfg.Mode),
-		Mem:       make([]uint32, cfg.MemWords),
-		code:      make([]isa.Instr, cfg.MemWords),
-		codeWords: make([]uint32, cfg.MemWords),
+		cfg: cfg,
+		RF:  regfile.New(cfg.Registers, cfg.Mode),
+		Mem: make([]uint32, cfg.MemWords),
 	}
 	m.RF.SetMultiRRM(cfg.MultiRRM)
 	return m
@@ -172,8 +165,10 @@ func (m *Machine) Load(p *asm.Program, base int) {
 // Reset returns the machine to the state New leaves it in, in place:
 // memory, registers, PC, PSW, the cycle count, the halt latch, a
 // pending LDRRM, remote arrivals and every hook are cleared. The
-// predecode cache is kept. fetch checks each entry against Mem, so an
-// entry left by an earlier program is decoded again on first use.
+// predecode cache is kept at the length it has grown to, so a pooled
+// machine decodes its next program into the same memory. Step checks
+// each entry against Mem, so an entry left by an earlier program is
+// decoded again on first use.
 func (m *Machine) Reset() {
 	mem := m.Mem
 	if len(mem) == m.cfg.MemWords {
@@ -183,21 +178,21 @@ func (m *Machine) Reset() {
 	}
 	m.RF.Reset()
 	m.RF.SetMultiRRM(m.cfg.MultiRRM)
-	*m = Machine{cfg: m.cfg, RF: m.RF, Mem: mem, code: m.code, codeWords: m.codeWords}
+	*m = Machine{cfg: m.cfg, RF: m.RF, Mem: mem, code: m.code}
 }
 
 func (m *Machine) exception(cause error) error {
 	return &Exception{PC: m.PC, Cycle: m.cycles, Cause: cause}
 }
 
-// readReg relocates and reads a context-relative operand.
-func (m *Machine) readReg(operand int) (uint32, error) {
-	return m.RF.ReadRel(operand, isa.OperandBits)
+// read relocates register field r and reads the register.
+func (m *Machine) read(r uint8) (uint32, error) {
+	return m.RF.ReadRel(int(r), isa.OperandBits)
 }
 
-// writeReg relocates and writes a context-relative operand.
-func (m *Machine) writeReg(operand int, v uint32) error {
-	return m.RF.WriteRel(operand, isa.OperandBits, v)
+// write relocates register field r and writes the register.
+func (m *Machine) write(r uint8, v uint32) error {
+	return m.RF.WriteRel(int(r), isa.OperandBits, v)
 }
 
 // Step executes one instruction. It returns an error on an exception
@@ -222,49 +217,51 @@ func (m *Machine) Step() error {
 		}
 	}
 
-	if m.PC < 0 || m.PC >= len(m.Mem) {
+	pc := m.PC
+	if pc < 0 || pc >= len(m.Mem) {
 		return m.exception(fmt.Errorf("instruction fetch outside memory"))
 	}
-	in := m.fetch(m.PC)
+	if pc >= len(m.code) || m.code[pc].word != m.Mem[pc] {
+		m.predecode(pc) // a miss, or code memory changed
+	}
+	in := &m.code[pc]
 	if m.Trace != nil {
-		m.Trace(m.PC, in)
+		m.Trace(pc, in.instr())
 	}
 	m.cycles++
-	next := m.PC + 1
+	next := pc + 1
 
-	// Helpers that read the relocated operands lazily per format.
+	// Each case relocates only the register fields its format uses, so
+	// a bounded-mode trap names a field the instruction reads or
+	// writes; where two would trap, the first in the case's order does.
 	var err error
-	rd := func() (uint32, error) { return m.readReg(in.Rd) }
-	rs1 := func() (uint32, error) { return m.readReg(in.Rs1) }
-	rs2 := func() (uint32, error) { return m.readReg(in.Rs2) }
-
-	switch in.Op {
+	var a, b uint32
+	switch in.op {
 	case isa.NOP:
 	case isa.HALT:
 		m.halted = true
 	case isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR, isa.SLL, isa.SRL, isa.SRA, isa.SLT, isa.SLTU:
-		a, e1 := rs1()
-		b, e2 := rs2()
-		if err = firstErr(e1, e2); err != nil {
+		if a, err = m.read(in.rs1); err != nil {
 			break
 		}
-		err = m.writeReg(in.Rd, aluOp(in.Op, a, b))
+		if b, err = m.read(in.rs2); err != nil {
+			break
+		}
+		err = m.write(in.rd, aluOp(in.op, a, b))
 	case isa.ADDI, isa.ANDI, isa.ORI, isa.XORI, isa.SLTI:
-		a, e := rs1()
-		if err = e; err != nil {
+		if a, err = m.read(in.rs1); err != nil {
 			break
 		}
-		err = m.writeReg(in.Rd, aluImmOp(in.Op, a, in.Imm))
+		err = m.write(in.rd, aluImmOp(in.op, a, in.imm))
 	case isa.MOVI:
-		err = m.writeReg(in.Rd, uint32(in.Imm))
+		err = m.write(in.rd, uint32(in.imm))
 	case isa.LUI:
-		err = m.writeReg(in.Rd, uint32(in.Imm)<<12)
+		err = m.write(in.rd, uint32(in.imm)<<12)
 	case isa.LW:
-		a, e := rs1()
-		if err = e; err != nil {
+		if a, err = m.read(in.rs1); err != nil {
 			break
 		}
-		addr := int(int32(a) + in.Imm)
+		addr := int(int32(a) + in.imm)
 		if addr < 0 || addr >= len(m.Mem) {
 			err = fmt.Errorf("load outside memory: address %d", addr)
 			break
@@ -273,14 +270,15 @@ func (m *Machine) Step() error {
 			next = pc
 			break
 		}
-		err = m.writeReg(in.Rd, m.Mem[addr])
+		err = m.write(in.rd, m.Mem[addr])
 	case isa.SW:
-		a, e1 := rs1()
-		v, e2 := rd() // rd is the source for stores
-		if err = firstErr(e1, e2); err != nil {
+		if a, err = m.read(in.rs1); err != nil {
 			break
 		}
-		addr := int(int32(a) + in.Imm)
+		if b, err = m.read(in.rd); err != nil { // rd is the source for stores
+			break
+		}
+		addr := int(int32(a) + in.imm)
 		if addr < 0 || addr >= len(m.Mem) {
 			err = fmt.Errorf("store outside memory: address %d", addr)
 			break
@@ -289,83 +287,78 @@ func (m *Machine) Step() error {
 			next = pc
 			break
 		}
-		m.Mem[addr] = v
+		m.Mem[addr] = b
 	case isa.BEQ, isa.BNE, isa.BLT, isa.BGE:
-		a, e1 := rd() // rd is a source for branches
-		b, e2 := rs1()
-		if err = firstErr(e1, e2); err != nil {
+		if a, err = m.read(in.rd); err != nil { // rd is a source for branches
 			break
 		}
-		if branchTaken(in.Op, a, b) {
-			next = m.PC + int(in.Imm)
+		if b, err = m.read(in.rs1); err != nil {
+			break
+		}
+		if branchTaken(in.op, a, b) {
+			next = pc + int(in.imm)
 		}
 	case isa.JAL:
-		if err = m.writeReg(in.Rd, uint32(m.PC+1)); err != nil {
+		if err = m.write(in.rd, uint32(pc+1)); err != nil {
 			break
 		}
-		next = m.PC + int(in.Imm)
+		next = pc + int(in.imm)
 	case isa.JALR:
-		t, e := rs1()
-		if err = e; err != nil {
+		if a, err = m.read(in.rs1); err != nil {
 			break
 		}
-		if err = m.writeReg(in.Rd, uint32(m.PC+1)); err != nil {
+		if err = m.write(in.rd, uint32(pc+1)); err != nil {
 			break
 		}
-		next = int(t)
+		next = int(a)
 	case isa.JMP:
-		t, e := rs1()
-		if err = e; err != nil {
+		if a, err = m.read(in.rs1); err != nil {
 			break
 		}
-		next = int(t)
+		next = int(a)
 	case isa.LDRRM, isa.LDRRM2:
-		v, e := rs1()
-		if err = e; err != nil {
+		if a, err = m.read(in.rs1); err != nil {
 			break
 		}
 		m.pendingActive = true
 		m.pendingCount = m.cfg.LDRRMDelaySlots
-		m.pendingVal = v
-		m.pendingDouble = in.Op == isa.LDRRM2
+		m.pendingVal = a
+		m.pendingDouble = in.op == isa.LDRRM2
 	case isa.RDRRM:
-		err = m.writeReg(in.Rd, uint32(m.RF.RRM()))
+		err = m.write(in.rd, uint32(m.RF.RRM()))
 	case isa.MFPSW:
-		err = m.writeReg(in.Rd, m.PSW)
+		err = m.write(in.rd, m.PSW)
 	case isa.MTPSW:
-		v, e := rs1()
-		if err = e; err != nil {
+		if a, err = m.read(in.rs1); err != nil {
 			break
 		}
-		m.PSW = v
+		m.PSW = a
 	case isa.FF1:
-		v, e := rs1()
-		if err = e; err != nil {
+		if a, err = m.read(in.rs1); err != nil {
 			break
 		}
 		r := uint32(0xffffffff) // -1: no bit set, as the MC88000 flags it
 		for i := 0; i < 32; i++ {
-			if v&(1<<uint(i)) != 0 {
+			if a&(1<<uint(i)) != 0 {
 				r = uint32(i)
 				break
 			}
 		}
-		err = m.writeReg(in.Rd, r)
+		err = m.write(in.rd, r)
 	case isa.FAULT:
-		lat, e := rs1()
-		if err = e; err != nil {
+		if a, err = m.read(in.rs1); err != nil {
 			break
 		}
 		if m.OnFault != nil {
-			m.OnFault(lat)
+			m.OnFault(a)
 		}
 		if m.FaultTrap != nil {
-			if pc, redirect := m.FaultTrap(lat); redirect {
+			if pc, redirect := m.FaultTrap(a); redirect {
 				next = pc
 			}
 		}
 	default:
-		err = fmt.Errorf("invalid opcode %d", in.Op)
+		err = fmt.Errorf("invalid opcode %d", in.op)
 	}
 
 	if err != nil {
@@ -392,21 +385,52 @@ func (m *Machine) Run(maxCycles int64) error {
 	return nil
 }
 
-// fetch returns the decoded instruction at word address pc via the
-// predecode cache. A stale entry (the memory word changed since it was
-// decoded) is re-decoded and re-cached; the common case is a single
-// word compare. pc is known in-bounds for Mem; the cache is bypassed
-// if a caller swapped in a larger Mem slice.
-func (m *Machine) fetch(pc int) isa.Instr {
-	w := m.Mem[pc]
+// minCode is the length, in entries, the predecode cache first grows to.
+const minCode = 256
+
+// decoded is a predecode cache entry: an instruction word and the
+// fields of isa.Decode(word) that Step reads, in 12 bytes. The zero
+// entry is valid for the zero word, because isa.Decode(0) is the zero
+// Instr.
+type decoded struct {
+	word         uint32
+	imm          int32
+	op           isa.Op
+	rd, rs1, rs2 uint8
+}
+
+func decode(w uint32) decoded {
+	in := isa.Decode(isa.Word(w))
+	return decoded{word: w, imm: in.Imm, op: in.Op, rd: uint8(in.Rd), rs1: uint8(in.Rs1), rs2: uint8(in.Rs2)}
+}
+
+// instr is the entry as isa.Decode returns it, for the Trace hook.
+func (d decoded) instr() isa.Instr {
+	return isa.Instr{Op: d.op, Rd: int(d.rd), Rs1: int(d.rs1), Rs2: int(d.rs2), Imm: d.imm}
+}
+
+// predecode decodes the word at pc, which is in bounds for Mem, into
+// the predecode cache. Step's fetch calls it when the cache does not
+// reach pc or the entry's word differs from Mem[pc]; otherwise a fetch
+// is one word compare. The cache covers only the addresses fetched so
+// far: a fetch beyond it grows it to the next power of two above pc
+// (at least minCode entries, at most len(Mem)), so a program that runs
+// from its first thousand words costs a few dozen kilobytes, not an
+// entry per memory word. Because every fetch compares the entry's word
+// against Mem, the cache is sound at any length and against any store
+// into code memory (self-modifying programs, Load over old code,
+// Reset, direct Mem pokes) without invalidation hooks.
+func (m *Machine) predecode(pc int) {
 	if pc >= len(m.code) {
-		return isa.Decode(isa.Word(w))
+		n := max(minCode, len(m.code))
+		for n <= pc {
+			n *= 2
+		}
+		code := make([]decoded, min(n, len(m.Mem)))
+		copy(code, m.code)
+		m.code = code
 	}
-	if m.codeWords[pc] != w {
-		m.code[pc] = isa.Decode(isa.Word(w))
-		m.codeWords[pc] = w
-	}
-	return m.code[pc]
+	m.code[pc] = decode(m.Mem[pc])
 }
 
 // remoteMiss reports whether an access to addr misses in remote memory
@@ -428,15 +452,6 @@ func (m *Machine) remoteMiss(addr int) (int, bool) {
 		return pc, true
 	}
 	return 0, false
-}
-
-func firstErr(errs ...error) error {
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
-	}
-	return nil
 }
 
 func branchTaken(op isa.Op, a, b uint32) bool {

@@ -23,6 +23,15 @@ type CoupledResult struct {
 	NodeResult node.Result
 }
 
+// relaxedLatency is a relaxation round's latency distribution: an
+// rng.Exponential that rng.NewSampler does not recognise, so the node
+// samples it through the Dist interface. That draws exactly the values
+// a guide table would, without memoizing a table for a mean no other
+// run uses: each would hold one of the shared memo's slots for the life
+// of the process, and once the memo is full every later Sampler draws
+// from the formula.
+type relaxedLatency struct{ rng.Exponential }
+
 // CoupledRun co-simulates P identical multithreaded nodes sharing the
 // interconnect, at round granularity: each round runs the FULL node
 // simulator (not the analytic model) with the current latency
@@ -42,7 +51,7 @@ func CoupledRun(cfg Config, nodeCfg node.Config, spec workload.Spec, horizon int
 	l := cfg.UnloadedLatency()
 	var out CoupledResult
 	for round := 1; round <= 15; round++ {
-		spec.Latency = rng.Exponential{MeanValue: l}
+		spec.Latency = relaxedLatency{rng.Exponential{MeanValue: l}}
 		res := node.Run(nodeCfg, spec, seed+uint64(round))
 		total := res.Full.Total()
 		rate := 0.0

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"fmt"
 	"testing"
 
 	"regreloc/internal/node"
@@ -40,6 +41,11 @@ func TestCoupledRunConverges(t *testing.T) {
 	}
 	if res.FaultRate <= 0 {
 		t.Error("no faults measured")
+	}
+	// The seeded run's answer: drawing the rounds' latencies any other
+	// way than Exponential.Sample does moves it.
+	if got := fmt.Sprintf("%.9g %.9g %d", res.Latency, res.Efficiency, res.Rounds); got != "41.2216068 0.65598975 4" {
+		t.Errorf("latency, efficiency, rounds = %s; want 41.2216068 0.65598975 4", got)
 	}
 }
 

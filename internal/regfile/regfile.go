@@ -26,7 +26,10 @@
 // inter-context operations such as add c0.r3, c0.r4, c1.r6.
 package regfile
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Mode selects the relocation hardware variant.
 type Mode int
@@ -72,10 +75,14 @@ type File struct {
 	rrm      [2]int
 	multiRRM bool
 
-	// bound is the current context's declared size for ModeBounded;
-	// 0 disables checking.
-	bound int
+	// limit is the first operand that traps: the current context's
+	// declared size in ModeBounded, and unchecked otherwise or when no
+	// bound is declared. relocate compares against it in every mode.
+	limit int
 }
+
+// unchecked is a limit no operand reaches.
+const unchecked = math.MaxInt
 
 // New returns a register file with n general registers (a power of two
 // in [32, 1024]) using the given relocation mode.
@@ -83,7 +90,10 @@ func New(n int, mode Mode) *File {
 	if n < 32 || n > 1024 || n&(n-1) != 0 {
 		panic(fmt.Sprintf("regfile: invalid size %d", n))
 	}
-	return &File{regs: make([]uint32, n), mode: mode}
+	if mode < 0 || int(mode) >= len(modeNames) {
+		panic(fmt.Sprintf("regfile: unknown mode %v", mode))
+	}
+	return &File{regs: make([]uint32, n), mode: mode, limit: unchecked}
 }
 
 // Reset zeroes every register, both relocation masks and the bound in
@@ -91,7 +101,7 @@ func New(n int, mode Mode) *File {
 func (f *File) Reset() {
 	clear(f.regs)
 	f.rrm = [2]int{}
-	f.bound = 0
+	f.limit = unchecked
 }
 
 // Size returns the number of general registers.
@@ -143,7 +153,12 @@ func (f *File) MultiRRM() bool { return f.multiRRM }
 
 // SetBound declares the current context's size for ModeBounded checks;
 // 0 disables checking. Other modes ignore it.
-func (f *File) SetBound(size int) { f.bound = size }
+func (f *File) SetBound(size int) {
+	f.limit = unchecked
+	if f.mode == ModeBounded && size > 0 {
+		f.limit = size
+	}
+}
 
 // Relocate combines a context-relative operand with the active RRM,
 // returning the absolute register number (Figure 2). operandBits is the
@@ -154,33 +169,29 @@ func (f *File) Relocate(operand, operandBits int) (int, error) {
 	if operand < 0 || operand >= 1<<uint(operandBits) {
 		panic(fmt.Sprintf("regfile: operand %d exceeds %d-bit field", operand, operandBits))
 	}
-	mask := f.rrm[0]
-	if f.multiRRM {
-		sel := 1 << uint(operandBits-1)
-		if operand&sel != 0 {
-			mask = f.rrm[1]
-		}
-		operand &^= sel
-	}
+	return f.relocate(operand, operandBits)
+}
 
-	switch f.mode {
-	case ModeOR:
-		return (mask | operand) & (len(f.regs) - 1), nil
-	case ModeADD:
-		return (mask + operand) & (len(f.regs) - 1), nil
-	case ModeMUX:
-		// Each bit comes from the RRM where the RRM bit is 1, from the
-		// operand where it is 0. Equivalent to OR for aligned contexts,
-		// but a stray operand bit overlapping the mask cannot escape:
-		// mask|operand == mask&^operand... selected per bit.
-		return (mask | (operand &^ mask)) & (len(f.regs) - 1), nil
-	case ModeBounded:
-		if f.bound > 0 && operand >= f.bound {
-			return 0, &OutOfContextError{Operand: operand, Bound: f.bound}
-		}
-		return (mask | operand) & (len(f.regs) - 1), nil
+// relocate is Relocate for an operand known to fit in its
+// operandBits-bit field, as every register field the machine's decode
+// stage extracts does. It is small enough to inline into Relocate,
+// ReadRel and WriteRel, so the machine pays one call per operand.
+//
+// ModeMUX takes each bit from the RRM where the RRM bit is 1 and from
+// the operand where it is 0. That is mask | operand, the number OR
+// gives, so the two share a path; ModeBounded ORs too, after its check.
+func (f *File) relocate(operand, operandBits int) (int, error) {
+	mask := f.rrm[0]
+	if f.multiRRM && operand>>uint(operandBits-1) != 0 {
+		mask, operand = f.rrm[1], operand&^(1<<uint(operandBits-1))
 	}
-	panic(fmt.Sprintf("regfile: unknown mode %v", f.mode))
+	if operand >= f.limit {
+		return 0, &OutOfContextError{Operand: operand, Bound: f.limit}
+	}
+	if f.mode == ModeADD {
+		return (mask + operand) & (len(f.regs) - 1), nil
+	}
+	return (mask | operand) & (len(f.regs) - 1), nil
 }
 
 // Read returns the value of absolute register abs.
@@ -189,18 +200,22 @@ func (f *File) Read(abs int) uint32 { return f.regs[abs] }
 // Write stores v into absolute register abs.
 func (f *File) Write(abs int, v uint32) { f.regs[abs] = v }
 
-// ReadRel relocates a context-relative operand and reads it.
+// ReadRel relocates a context-relative operand and reads it. Unlike
+// Relocate, it does not check that the operand fits in its
+// operandBits-bit field.
 func (f *File) ReadRel(operand, operandBits int) (uint32, error) {
-	abs, err := f.Relocate(operand, operandBits)
+	abs, err := f.relocate(operand, operandBits)
 	if err != nil {
 		return 0, err
 	}
 	return f.regs[abs], nil
 }
 
-// WriteRel relocates a context-relative operand and writes it.
+// WriteRel relocates a context-relative operand and writes it. Unlike
+// Relocate, it does not check that the operand fits in its
+// operandBits-bit field.
 func (f *File) WriteRel(operand, operandBits int, v uint32) error {
-	abs, err := f.Relocate(operand, operandBits)
+	abs, err := f.relocate(operand, operandBits)
 	if err != nil {
 		return err
 	}

@@ -295,6 +295,21 @@ func TestNewPanicsOnBadSize(t *testing.T) {
 	}
 }
 
+// TestNewPanicsOnUnknownMode: relocation treats any mode but ModeADD
+// as OR, so New refuses a mode that is not one of the four.
+func TestNewPanicsOnUnknownMode(t *testing.T) {
+	for _, m := range []Mode{-1, 4} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(128, %v) did not panic", m)
+				}
+			}()
+			New(128, m)
+		}()
+	}
+}
+
 func TestModeString(t *testing.T) {
 	for m, want := range map[Mode]string{ModeOR: "or", ModeADD: "add", ModeMUX: "mux", ModeBounded: "bounded"} {
 		if m.String() != want {
