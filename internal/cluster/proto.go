@@ -28,11 +28,11 @@ type wireCell struct {
 
 // computeRequest is one batch of cells from a single sweep. The scale
 // fields are exactly the result-shaping ones that enter point keys;
-// execution knobs (worker pool size, rate limits) stay per-process.
-// Fidelity names the measurement tier ("" means sim, the pre-tier
-// wire format): a worker computing the wrong tier would derive
-// foreign point keys, so the coordinator would drop — never mix —
-// its results; carrying the tier makes the fleet useful, the key
+// execution knobs (worker pool size, the ComputeLimit hook) stay
+// per-process. Fidelity names the measurement tier ("" means sim, the
+// pre-tier wire format): a worker computing the wrong tier would
+// derive foreign point keys, so the coordinator would drop — never mix
+// — its results; carrying the tier makes the fleet useful, the key
 // derivation keeps it correct.
 type computeRequest struct {
 	Experiment string     `json:"experiment"`

@@ -30,9 +30,9 @@ import (
 // whose consumer has gone away stops burning worker cycles mid-grid. A
 // cancelled run returns the completed cells plus the context error.
 
-// acquire pays the scale's compute rate limit, if any, for one fresh
-// local measurement. Store hits, joined flights and remote results do
-// not pay.
+// acquire calls the scale's ComputeLimit hook, if any, before one
+// fresh local measurement. Store hits, joined flights and remote
+// results do not call it.
 func (s Scale) acquire() {
 	if s.ComputeLimit != nil {
 		s.ComputeLimit.Acquire(s.Context())

@@ -58,11 +58,10 @@ type Scale struct {
 	// locally, so Remote accelerates sweeps without ever owning their
 	// correctness. Execution-only: not part of point keys.
 	Remote PointComputer
-	// ComputeLimit, if non-nil, gates every local point simulation
-	// behind Acquire, bounding this process's simulation rate (e.g. to
-	// protect a shared box, or to model fixed per-node capacity).
-	// Cache hits and remote results bypass it. Execution-only: not
-	// part of point keys.
+	// ComputeLimit, if non-nil, is called before every fresh local
+	// point simulation (see Limiter): a hook that counts or holds
+	// simulations, not a rate limiter. Cache hits and remote results
+	// bypass it. Execution-only: not part of point keys.
 	ComputeLimit Limiter
 	// Fidelity selects the measurement backend producing each point:
 	// the node discrete-event simulator (FidelitySim, the default and

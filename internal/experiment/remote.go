@@ -75,13 +75,15 @@ type PointComputer interface {
 	ComputePoints(ctx context.Context, sweep RemoteSweep, emit func(key string, data []byte)) error
 }
 
-// Limiter caps the rate at which a process starts local point
-// simulations. Acquire blocks until a token is available or ctx is
-// cancelled; cancelled acquires return immediately so a dying sweep is
-// never held hostage by its own rate limit. Like Workers and Progress
-// it is an execution-only knob: it shapes timing, never results, and
-// does not enter point keys. Cache hits and joined flights consume no
-// tokens — only fresh simulations pay.
+// Limiter is a hook called once before each fresh local point
+// simulation, with the sweep's context. Despite its name, no
+// implementation in this repository limits a rate: the benchmark's
+// tracer and the tests use it to count fresh simulations, or to hold
+// them until the context ends. An Acquire that blocks delays that one
+// simulation, and must return once ctx is cancelled. Like Workers and
+// Progress it is an execution-only knob: it shapes timing, never
+// results, and does not enter point keys. Store hits, joined flights
+// and remote results do not call it.
 type Limiter interface {
 	Acquire(ctx context.Context)
 }

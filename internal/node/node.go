@@ -179,11 +179,22 @@ func Run(cfg Config, spec workload.Spec, seed uint64) Result {
 		s.charge(stats.Queue, cfg.QueueOpCost)
 	}
 
+	// Each pass makes only the calls that can change something: most
+	// find no completion due and nothing admissible (fill's first test),
+	// and run the context at the ring pointer.
 	for s.res.Completed < len(threads) {
-		s.processDueEvents()
-		s.fill()
+		if s.due() {
+			s.processDueEvents()
+		}
+		if s.queue.Len() > 0 && (s.failMin == 0 || s.queue.MinRegs() < s.failMin) {
+			s.fill() // its first test passes
+		}
 
-		if cur := s.nextRunnable(); cur != nil {
+		if s.ready > 0 {
+			cur := s.ring.Current()
+			if !cur.Runnable() {
+				cur, _ = s.ring.NextRunnable()
+			}
 			s.runSegment(cur)
 			continue
 		}
@@ -288,6 +299,13 @@ func (s *state) foldResidency() {
 	s.lastResidentAt = s.events.Now()
 }
 
+// due reports whether a fault completion is due, so that
+// processDueEvents would handle one.
+func (s *state) due() bool {
+	at, ok := s.events.PeekTime()
+	return ok && at <= s.events.Now()
+}
+
 // processDueEvents handles fault completions due at or before now.
 func (s *state) processDueEvents() {
 	for {
@@ -375,21 +393,6 @@ func (s *state) advanceClock(n int64) {
 	s.events.AdvanceTo(s.events.Now() + n)
 }
 
-// nextRunnable returns a runnable resident thread, preferring the
-// current ring position, or nil. With none ready it returns at once:
-// the full rotation NextRunnable would make ends where it started.
-func (s *state) nextRunnable() *thread.Thread {
-	if s.ready == 0 {
-		return nil
-	}
-	cur := s.ring.Current()
-	if cur.Runnable() {
-		return cur
-	}
-	t, _ := s.ring.NextRunnable()
-	return t
-}
-
 // runSegment executes one run length of the thread, then handles its
 // fault or completion.
 func (s *state) runSegment(cur *thread.Thread) {
@@ -398,11 +401,21 @@ func (s *state) runSegment(cur *thread.Thread) {
 	if run > cur.WorkLeft {
 		run = cur.WorkLeft
 	}
-	s.chargeFor(stats.Useful, run, cur.ID)
+	// The useful run and the fault's switch are charged in place
+	// without a tracer; with one, through chargeFor, so
+	// TestTracingDoesNotPerturb compares the two.
+	if s.cfg.Tracer != nil {
+		s.chargeFor(stats.Useful, run, cur.ID)
+	} else {
+		s.acct.Charge(stats.Useful, run)
+		s.events.AdvanceTo(s.events.Now() + run)
+	}
 	s.window.MaybeSnapshot(&s.acct, s.acct.Get(stats.Useful))
 	cur.WorkLeft -= run
 	s.ready-- // cur completes or faults below
-	s.processDueEvents()
+	if s.due() {
+		s.processDueEvents()
+	}
 
 	if cur.WorkLeft == 0 {
 		cur.State = thread.Done
@@ -430,7 +443,12 @@ func (s *state) runSegment(cur *thread.Thread) {
 	cur.PollCost = 0
 	cur.FaultDone = s.events.Now() + lat
 	s.events.Schedule(cur.FaultDone, cur)
-	s.chargeFor(stats.Switch, s.cfg.SwitchCost, cur.ID)
+	if s.cfg.Tracer != nil {
+		s.chargeFor(stats.Switch, s.cfg.SwitchCost, cur.ID)
+		return
+	}
+	s.acct.Charge(stats.Switch, s.cfg.SwitchCost)
+	s.events.AdvanceTo(s.events.Now() + s.cfg.SwitchCost)
 }
 
 // trySwitchSpin is the two-phase polling pass (Section 3.3): with no
@@ -549,15 +567,21 @@ func (s *state) chargeSpin(n int64) {
 // end before it falls due. Under TwoPhase every context's poll cost
 // must also stay below its unload cost; Never has no such bound, and
 // trySwitchSpin asks any other policy after every probe instead.
+//
+// Under TwoPhase the bound is the least headroom UnloadCost - PollCost
+// - 1 over the ring, divided once by the probe cost: truncating
+// division by a positive cost is monotone, so the quotient of the least
+// headroom is the least quotient.
 func (s *state) quietPasses(next sim.Cycles, twoPhase bool) int64 {
-	k := (next - s.events.Now() - 1) / (int64(s.ring.Len()) * s.cfg.ProbeCost)
+	cost := s.cfg.ProbeCost
+	k := (next - s.events.Now() - 1) / (int64(s.ring.Len()) * cost)
 	if k > 0 && twoPhase {
+		room := k * cost // k passes' poll cost: the bound so far
 		s.ring.Each(func(t *thread.Thread) bool {
-			if h := (t.UnloadCost() - t.PollCost - 1) / s.cfg.ProbeCost; h < k {
-				k = h
-			}
-			return k > 0
+			room = min(room, t.UnloadCost()-t.PollCost-1)
+			return room >= cost
 		})
+		k = room / cost
 	}
 	return max(k, 0)
 }

@@ -53,6 +53,21 @@ func BenchmarkExponentialSampler(b *testing.B) {
 	benchSampler(b, []float64{64, 1024}, func(mean float64) Dist { return Exponential{MeanValue: mean} })
 }
 
+// BenchmarkMixtureSampler draws the combined experiment's latency at
+// Rs=512, Ls=256: a cache fault (constant 64) with probability 16/17,
+// else an exponential synchronization wait.
+func BenchmarkMixtureSampler(b *testing.B) {
+	r := New(1)
+	s := NewSampler(Mixture{P: 16.0 / 17, A: Constant{Value: 64}, B: Exponential{MeanValue: 256}})
+	sink := 0
+	for i := 0; i < b.N; i++ {
+		sink += s.Sample(r)
+	}
+	if sink < 0 {
+		b.Fatal("impossible")
+	}
+}
+
 func BenchmarkIntn(b *testing.B) {
 	r := New(1)
 	sink := 0

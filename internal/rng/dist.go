@@ -54,7 +54,7 @@ func (g Geometric) String() string { return fmt.Sprintf("geometric(%g)", g.MeanV
 //     a Geometric's ln(1-1/R) is computed once;
 //   - a Constant is returned without interface dispatch;
 //   - a Mixture draws its branch as Mixture.Sample does, then draws the
-//     branch through a Sampler of its own.
+//     branch as the Sampler of that branch would.
 //
 // Any other Dist is sampled through its interface. Build one with
 // NewSampler.
@@ -76,12 +76,28 @@ func newSampler(d Dist, memo *guideMemo) Sampler {
 	return Sampler{a: newLeaf(d, memo)}
 }
 
-// Sample draws one value using src, as the Dist's Sample would.
+// Sample draws one value using src, as the Dist's Sample would. It
+// picks the leaf first, a Mixture's branch included, and then draws
+// every leaf by the same few lines, so a table-answered draw is this
+// one call: Uint64 inlines, and only a table miss calls the formula.
 func (s *Sampler) Sample(src *Source) int {
-	if s.mix && !(src.Float64() < s.p) {
-		return s.b.sample(src)
+	l := &s.a
+	// The branch draw is src.Float64() written out, which Sample can
+	// inline where it cannot inline Float64 itself.
+	if s.mix && !(float64(src.Uint64()>>11)/(1<<53) < s.p) {
+		l = &s.b
 	}
-	return s.a.sample(src)
+	switch l.kind {
+	case leafGeometric, leafExponential:
+		m := src.Uint64() >> 11
+		if k := l.guide.lookup(m); k != 0 {
+			return k
+		}
+		return l.formula(m)
+	case leafConstant:
+		return l.value
+	}
+	return l.dist.Sample(src)
 }
 
 type leafKind uint8
@@ -127,22 +143,9 @@ func newLeaf(d Dist, memo *guideMemo) leaf {
 	return leaf{kind: leafDist, dist: d}
 }
 
-func (l *leaf) sample(src *Source) int {
-	switch l.kind {
-	case leafConstant:
-		return l.value
-	case leafGeometric, leafExponential:
-		return l.at(src.Uint64() >> 11)
-	}
-	return l.dist.Sample(src)
-}
-
-// at is a Geometric or Exponential leaf's value for the 53-bit draw m:
-// the table's answer, or else the formula's.
-func (l *leaf) at(m uint64) int {
-	if k := l.guide.lookup(m); k != 0 {
-		return k
-	}
+// formula is the value Source.Geometric or Exponential.Sample gives
+// for the 53-bit draw m.
+func (l *leaf) formula(m uint64) int {
 	if l.kind == leafGeometric {
 		return geometricAt(m, l.mean, l.logQ)
 	}

@@ -3,6 +3,7 @@ package rng
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 	"testing"
 )
@@ -50,17 +51,51 @@ func experimentShare(mean float64) float64 {
 	return 0
 }
 
-// guideCases returns a Geometric and an Exponential case for mean. The
-// formulas are the ones Source.Geometric and Exponential.Sample apply
-// to their draw.
+// sourceAt returns a Source whose next 53-bit draw, Uint64()>>11, is
+// m. xoshiro256**'s output rotl(s1·5, 7)·9 depends on s[1] alone, so
+// s[1] is that expression inverted at m<<11; the other words only need
+// to leave the state nonzero.
+func sourceAt(m uint64) *Source {
+	const inv9 = 0x8e38e38e38e38e39 // 9·inv9 ≡ 1 mod 2^64
+	const inv5 = 0xcccccccccccccccd // 5·inv5 ≡ 1 mod 2^64
+	s1 := bits.RotateLeft64((m<<11)*inv9, -7) * inv5
+	return &Source{s: [4]uint64{1, s1, 2, 3}}
+}
+
+// TestSourceAt pins the inversion the table tests draw through: the
+// Source sourceAt builds yields m as its next 53-bit draw, at the edges
+// of the range and at random draws.
+func TestSourceAt(t *testing.T) {
+	src := New(9)
+	for i := 0; i < 10_000; i++ {
+		m := src.Uint64() >> 11
+		if i < 3 {
+			m = []uint64{0, 1, 1<<53 - 1}[i]
+		}
+		if got := sourceAt(m).Uint64() >> 11; got != m {
+			t.Fatalf("sourceAt(%#x) drew %#x", m, got)
+		}
+	}
+}
+
+// samplerAt returns s's value for the 53-bit draw m, through Sample
+// itself.
+func samplerAt(s Sampler) func(m uint64) int {
+	return func(m uint64) int { return s.Sample(sourceAt(m)) }
+}
+
+// guideCases returns a Geometric and an Exponential case for mean, each
+// drawn through a Sampler holding a freshly built table. The formulas
+// are the ones Source.Geometric and Exponential.Sample apply to their
+// draw.
 func guideCases(mean float64) map[string]guideCase {
 	logQ := math.Log(1 - 1/mean)
-	geo := leaf{kind: leafGeometric, mean: mean, logQ: logQ, guide: geometricGuide(mean, logQ)}
-	exp := leaf{kind: leafExponential, mean: mean, guide: exponentialGuide(mean)}
+	geo := Sampler{a: leaf{kind: leafGeometric, mean: mean, logQ: logQ, guide: geometricGuide(mean, logQ)}}
+	exp := Sampler{a: leaf{kind: leafExponential, mean: mean, guide: exponentialGuide(mean)}}
 	return map[string]guideCase{
-		"geometric": {geo.guide, geo.at,
+		"geometric": {geo.a.guide, samplerAt(geo),
 			func(m uint64) int { return geometricAt(m, mean, logQ) }, experimentShare(mean)},
-		"exponential": {exp.guide, exp.at,
+		"exponential": {exp.a.guide, samplerAt(exp),
 			func(m uint64) int { return latency(exponentialAt(m, mean)) }, experimentShare(mean)},
 	}
 }
@@ -75,8 +110,8 @@ func gapCases(mean float64) map[string]guideCase {
 	long.Build(mean, 1e9)
 	short.Build(mean, 4*math.Exp2(math.Ceil(math.Log2(mean))+4))
 	return map[string]guideCase{
-		"gap":       {long.guide, func(m uint64) int { return int(long.at(m)) }, formula, experimentShare(mean)},
-		"gap-short": {short.guide, func(m uint64) int { return int(short.at(m)) }, formula, 0.7},
+		"gap":       {long.guide, func(m uint64) int { return int(long.Draw(sourceAt(m))) }, formula, experimentShare(mean)},
+		"gap-short": {short.guide, func(m uint64) int { return int(short.Draw(sourceAt(m))) }, formula, 0.7},
 	}
 }
 

@@ -229,7 +229,11 @@ func TestDistInterface(t *testing.T) {
 
 // TestSamplerMatchesDist pins the hoisted constants and the guide
 // tables: a Sampler returns its Dist's values from the same draws,
-// leaving the stream where the Dist would.
+// leaving the stream where the Dist would. Every Dist is drawn twice:
+// through NewSampler, whose leaves read the shared memo's tables, and
+// through a Sampler built from a full memo, whose leaves all get
+// noGuide, so the formula arm is compared on every draw, a Mixture's
+// branches included.
 func TestSamplerMatchesDist(t *testing.T) {
 	dists := []Dist{
 		Geometric{MeanValue: 1},
@@ -252,17 +256,26 @@ func TestSamplerMatchesDist(t *testing.T) {
 		Mixture{P: 0.3, A: Geometric{MeanValue: 8}, B: Exponential{MeanValue: 96}},
 		Mixture{P: 0.5, A: Mixture{P: 0.5, A: Constant{Value: 1}, B: Exponential{MeanValue: 8}}, B: Geometric{MeanValue: 1}},
 	}
-	for _, d := range dists {
-		for seed := uint64(1); seed <= 3; seed++ {
-			s := NewSampler(d)
-			got, want := New(seed), New(seed)
-			for i := 0; i < 5000; i++ {
-				if g, w := s.Sample(got), d.Sample(want); g != w {
-					t.Fatalf("%s seed %d draw %d: sampler %d, dist %d", d, seed, i, g, w)
+	samplers := map[string]func(Dist) Sampler{
+		"tables":  NewSampler,
+		"formula": func(d Dist) Sampler { return newSampler(d, newGuideMemo(0)) },
+	}
+	for name, build := range samplers {
+		for _, d := range dists {
+			for seed := uint64(1); seed <= 3; seed++ {
+				s := build(d)
+				if name == "formula" && (len(s.a.guide.answer) > 1 || len(s.b.guide.answer) > 1) {
+					t.Fatalf("%s: a Sampler built from a full memo got a table", d)
 				}
-			}
-			if got.Uint64() != want.Uint64() {
-				t.Fatalf("%s seed %d: stream positions diverged", d, seed)
+				got, want := New(seed), New(seed)
+				for i := 0; i < 5000; i++ {
+					if g, w := s.Sample(got), d.Sample(want); g != w {
+						t.Fatalf("%s %s seed %d draw %d: sampler %d, dist %d", name, d, seed, i, g, w)
+					}
+				}
+				if got.Uint64() != want.Uint64() {
+					t.Fatalf("%s %s seed %d: stream positions diverged", name, d, seed)
+				}
 			}
 		}
 	}

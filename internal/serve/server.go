@@ -76,10 +76,11 @@ type Config struct {
 	// A coordinator sets it to the cluster fan-out client; the local
 	// pool and the cluster are interchangeable behind this interface.
 	Remote experiment.PointComputer
-	// ComputeLimit, when non-nil, gates each of this process's fresh
-	// point simulations (experiment.Scale.ComputeLimit). No daemon
-	// flag sets it; tests and the benchmark's tracer hook it to count
-	// or hold simulations.
+	// ComputeLimit, when non-nil, is called before each of this
+	// process's fresh point simulations (experiment.Scale.ComputeLimit,
+	// experiment.Limiter). It limits no rate: no daemon flag sets it,
+	// and tests and the benchmark's tracer use it to count or hold
+	// simulations.
 	ComputeLimit experiment.Limiter
 	// ReadyCheck, when non-nil, adds a condition to /readyz: a non-nil
 	// error answers 503 with the error text. A coordinator uses it to
