@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet fmt-check lint-asm lint-asm-sarif bench bench-json bench-smoke bench-gate examples figures data data-check serve-smoke load-smoke cluster-smoke fuzz-smoke clean
+.PHONY: all build test test-race vet fmt-check deps-check lint-asm lint-asm-sarif bench bench-json bench-smoke bench-gate examples figures data data-check serve-smoke load-smoke cluster-smoke fuzz-smoke clean
 
 all: test
 
@@ -19,10 +19,18 @@ fmt-check:
 	@out=$$(gofmt -l $$(git ls-files '*.go')); \
 	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# The node simulator must not link the static analyzer, the assembler
+# or the ISA: the paper's Section 2.4 check belongs to the loader
+# (internal/kernel), and the node models threads, not their code.
+deps-check:
+	@deps=$$($(GO) list -deps ./internal/node) || exit 1; \
+	out=$$(echo "$$deps" | grep -E '^regreloc/internal/(analysis|asm|isa)$$'); \
+	if [ -n "$$out" ]; then echo "internal/node links:"; echo "$$out"; exit 1; fi
+
 # perfbench/ is its own module, so the root ./... never compiles it;
 # vet and test it too, so an API change that breaks the benchmark
 # fails here rather than when the benchmark runs.
-test: vet
+test: vet deps-check
 	$(GO) test ./...
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 

@@ -17,7 +17,6 @@
 //	rrcheck -ctx 16 -format sarif file.s        # SARIF 2.1.0 for code scanning
 //	rrcheck -kernel                             # self-check the kernel asm
 //	rrcheck -kernel -interproc -format sarif    # whole-kernel SARIF
-//	rrcheck -cache DIR -ctx 16 file.s           # content-hash result cache
 //
 // Exit status: 0 when no unsuppressed diagnostics are found, 1 when
 // any are, 2 on usage, file, or assembly errors (assembly errors are
@@ -25,12 +24,10 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	"regreloc/internal/alloc"
@@ -49,7 +46,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		ctx        = fs.Int("ctx", 0, "declared context size in registers")
-		size       = fs.Int("size", 0, "alias for -ctx (kept for compatibility)")
 		multi      = fs.Bool("multirrm", false, "treat the operand high bit as the RRM selector")
 		infer      = fs.Bool("infer", false, "infer the smallest context the code fits in")
 		passesF    = fs.String("passes", "all", "comma-separated passes: bounds,hazards,unreachable,interproc")
@@ -60,13 +56,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		interproc  = fs.Bool("interproc", false, "build the call graph and routine summaries (enables RR4xx)")
 		callgraph  = fs.Bool("callgraph", false, "print the call graph as Graphviz DOT (implies -interproc)")
 		routines   = fs.Bool("routines", false, "print per-routine summaries (implies -interproc)")
-		cacheDir   = fs.String("cache", "", "directory for the content-hash result cache")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if *ctx == 0 {
-		*ctx = *size
 	}
 	if *callgraph || *routines {
 		*interproc = true
@@ -84,25 +76,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// Every option that shapes output takes part in the cache key.
-	fingerprint := []string{
-		strconv.Itoa(*ctx), strconv.FormatBool(*multi), strconv.FormatBool(*infer),
-		*passesF, *format, strconv.Itoa(*delay), *entries,
-		strconv.FormatBool(*kernelMode), strconv.FormatBool(*interproc),
-		strconv.FormatBool(*callgraph), strconv.FormatBool(*routines),
-	}
-
 	if *kernelMode {
 		if fs.NArg() != 0 {
 			fs.Usage()
 			return 2
 		}
-		for _, t := range kernel.LintTargets() {
-			fingerprint = append(fingerprint, t.Name, t.Source, strconv.Itoa(t.ContextSize))
-		}
-		return withCache(*cacheDir, stdout, fingerprint, func(w io.Writer) int {
-			return runKernel(passes, *format, *delay, *interproc, *routines, w, stderr)
-		})
+		return runKernel(passes, *format, *delay, *interproc, *routines, stdout, stderr)
 	}
 
 	if fs.NArg() != 1 || (*ctx == 0 && !*infer && !*callgraph && !*routines) {
@@ -114,9 +93,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "rrcheck: %v\n", err)
 		return 2
 	}
-	src := string(data)
-	fingerprint = append(fingerprint, src)
-
 	opts := analysis.Options{
 		ContextSize:     *ctx,
 		MultiRRM:        *multi,
@@ -124,30 +100,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Passes:          passes,
 		Interprocedural: *interproc,
 	}
-	return withCache(*cacheDir, stdout, fingerprint, func(w io.Writer) int {
-		return runFile(src, fs.Arg(0), opts, *infer, *callgraph, *routines, *format, *entries, w, stderr)
-	})
-}
-
-// withCache consults the content-hash cache when enabled, otherwise
-// runs exec directly. Only clean verdicts (status 0/1) are cached;
-// status 2 paths write to stderr, which the cache does not capture.
-func withCache(dir string, stdout io.Writer, fingerprint []string, exec func(io.Writer) int) int {
-	if dir == "" {
-		return exec(stdout)
-	}
-	key := cacheKey(fingerprint...)
-	if e, ok := cacheGet(dir, key); ok {
-		io.WriteString(stdout, e.Stdout)
-		return e.Status
-	}
-	var buf bytes.Buffer
-	status := exec(&buf)
-	io.WriteString(stdout, buf.String())
-	if status == 0 || status == 1 {
-		cachePut(dir, key, cacheEntry{Status: status, Stdout: buf.String()})
-	}
-	return status
+	return runFile(string(data), fs.Arg(0), opts, *infer, *callgraph, *routines, *format, *entries, stdout, stderr)
 }
 
 // runFile analyzes one source file and renders the selected output.

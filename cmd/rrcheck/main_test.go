@@ -20,7 +20,7 @@ func writeTemp(t *testing.T, src string) string {
 func TestCleanProgramExitsZero(t *testing.T) {
 	path := writeTemp(t, "movi r1, 5\nadd r2, r1, r1\nhalt\n")
 	var out, errOut strings.Builder
-	if code := run([]string{"-size", "8", path}, &out, &errOut); code != 0 {
+	if code := run([]string{"-ctx", "8", path}, &out, &errOut); code != 0 {
 		t.Fatalf("exit %d, stderr %q", code, errOut.String())
 	}
 	if !strings.Contains(out.String(), "ok") {
@@ -31,7 +31,7 @@ func TestCleanProgramExitsZero(t *testing.T) {
 func TestViolationExitsOne(t *testing.T) {
 	path := writeTemp(t, "add r9, r1, r1\nhalt\n")
 	var out, errOut strings.Builder
-	if code := run([]string{"-size", "8", path}, &out, &errOut); code != 1 {
+	if code := run([]string{"-ctx", "8", path}, &out, &errOut); code != 1 {
 		t.Fatalf("exit %d", code)
 	}
 	if !strings.Contains(out.String(), "outside context") ||
@@ -40,7 +40,7 @@ func TestViolationExitsOne(t *testing.T) {
 	}
 }
 
-func TestCtxFlagAliasesSize(t *testing.T) {
+func TestCtxFlag(t *testing.T) {
 	path := writeTemp(t, "add r9, r1, r1\nhalt\n")
 	var out, errOut strings.Builder
 	if code := run([]string{"-ctx", "8", path}, &out, &errOut); code != 1 {
@@ -49,6 +49,10 @@ func TestCtxFlagAliasesSize(t *testing.T) {
 	out.Reset()
 	if code := run([]string{"-ctx", "16", path}, &out, &errOut); code != 0 {
 		t.Fatalf("-ctx 16 exit %d: %s", code, out.String())
+	}
+	// -ctx is the only spelling: the old -size alias is a usage error.
+	if code := run([]string{"-size", "16", path}, &out, &errOut); code != 2 {
+		t.Errorf("-size exit %d, want 2", code)
 	}
 }
 
@@ -79,12 +83,12 @@ func TestInferIgnoresDeadStores(t *testing.T) {
 func TestMultiRRMFlag(t *testing.T) {
 	path := writeTemp(t, "add c0.r3, c0.r4, c1.r6\nhalt\n")
 	var out, errOut strings.Builder
-	if code := run([]string{"-size", "8", "-multirrm", path}, &out, &errOut); code != 0 {
+	if code := run([]string{"-ctx", "8", "-multirrm", path}, &out, &errOut); code != 0 {
 		t.Fatalf("exit %d: %s", code, out.String())
 	}
 	// Without -multirrm the selector bit makes c1.r6 operand value 38.
 	out.Reset()
-	if code := run([]string{"-size", "8", path}, &out, &errOut); code != 1 {
+	if code := run([]string{"-ctx", "8", path}, &out, &errOut); code != 1 {
 		t.Fatalf("plain exit %d: %s", code, out.String())
 	}
 }
@@ -186,12 +190,12 @@ func TestUsageErrors(t *testing.T) {
 	if code := run(nil, &out, &errOut); code != 2 {
 		t.Errorf("no args exit = %d", code)
 	}
-	if code := run([]string{"-size", "8", "nonexistent.s"}, &out, &errOut); code != 2 {
+	if code := run([]string{"-ctx", "8", "nonexistent.s"}, &out, &errOut); code != 2 {
 		t.Errorf("missing file exit = %d", code)
 	}
 	bad := writeTemp(t, "frobnicate r1\n")
 	errOut.Reset()
-	if code := run([]string{"-size", "8", bad}, &out, &errOut); code != 2 {
+	if code := run([]string{"-ctx", "8", bad}, &out, &errOut); code != 2 {
 		t.Errorf("bad assembly exit = %d", code)
 	}
 	// Assembly errors carry the offending source line.
@@ -306,40 +310,5 @@ func TestKernelSARIF(t *testing.T) {
 	// not as new findings.
 	if !strings.Contains(out.String(), `"inSource"`) {
 		t.Errorf("kernel SARIF carries no inSource suppressions:\n%s", out.String())
-	}
-}
-
-func TestResultCache(t *testing.T) {
-	path := writeTemp(t, "add r9, r1, r1\nhalt\n")
-	dir := t.TempDir()
-	var out1, out2, errOut strings.Builder
-	if code := run([]string{"-ctx", "8", "-cache", dir, path}, &out1, &errOut); code != 1 {
-		t.Fatalf("first run exit %d", code)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("cache dir entries = %v, err %v", entries, err)
-	}
-	if code := run([]string{"-ctx", "8", "-cache", dir, path}, &out2, &errOut); code != 1 {
-		t.Fatalf("cached run exit %d", code)
-	}
-	if out1.String() != out2.String() {
-		t.Errorf("cached output differs:\n%q\nvs\n%q", out1.String(), out2.String())
-	}
-	// A different context size must miss (option fingerprint in key).
-	var out3 strings.Builder
-	if code := run([]string{"-ctx", "16", "-cache", dir, path}, &out3, &errOut); code != 0 {
-		t.Fatalf("ctx 16 exit %d", code)
-	}
-	if entries, _ := os.ReadDir(dir); len(entries) != 2 {
-		t.Errorf("cache entries = %d, want 2", len(entries))
-	}
-	// Corrupt entries are misses, not failures.
-	for _, e := range entries {
-		os.WriteFile(filepath.Join(dir, e.Name()), []byte("not json"), 0o644)
-	}
-	var out4 strings.Builder
-	if code := run([]string{"-ctx", "8", "-cache", dir, path}, &out4, &errOut); code != 1 {
-		t.Fatalf("corrupt-cache run exit %d", code)
 	}
 }

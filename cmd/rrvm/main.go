@@ -35,7 +35,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		regs    = fs.Int("regs", 128, "register file size")
-		mode    = fs.String("mode", "or", "relocation mode: or, add, mux, bounded")
+		mode    = fs.String("mode", "or", "relocation mode: or, add")
 		rrm     = fs.Int("rrm", 0, "initial register relocation mask")
 		delay   = fs.Int("delay", 1, "LDRRM delay slots")
 		max     = fs.Int64("max", 1_000_000, "cycle budget")
@@ -51,10 +51,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	modes := map[string]regfile.Mode{
-		"or": regfile.ModeOR, "add": regfile.ModeADD,
-		"mux": regfile.ModeMUX, "bounded": regfile.ModeBounded,
-	}
+	// Only or and add: the bounded and MUX modes need a declared context
+	// size, which rrvm cannot set, and without one they relocate
+	// exactly as or.
+	modes := map[string]regfile.Mode{"or": regfile.ModeOR, "add": regfile.ModeADD}
 	m, ok := modes[*mode]
 	if !ok {
 		fmt.Fprintf(stderr, "rrvm: unknown mode %q\n", *mode)

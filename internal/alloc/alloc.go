@@ -126,15 +126,6 @@ func RoundContextSize(c, minSize, maxSize int) int {
 	return size
 }
 
-// NextPow2 returns the smallest power of two >= n (n >= 1).
-func NextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
 // IsPow2 reports whether n is a positive power of two.
 func IsPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 

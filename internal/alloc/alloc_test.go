@@ -35,10 +35,7 @@ func TestRoundContextSizePanics(t *testing.T) {
 	}
 }
 
-func TestNextPow2AndIsPow2(t *testing.T) {
-	if NextPow2(1) != 1 || NextPow2(3) != 4 || NextPow2(17) != 32 || NextPow2(64) != 64 {
-		t.Error("NextPow2 wrong")
-	}
+func TestIsPow2(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 1024} {
 		if !IsPow2(n) {
 			t.Errorf("IsPow2(%d) = false", n)

@@ -4,6 +4,9 @@
 // requirements at link time, and advising on the register/context-size
 // tradeoff — whether the marginal benefit of an extra register is
 // worth doubling the context size (the paper's 17-versus-16 example).
+// The other half of Section 2.4, checking a thread's assembled code
+// against its context and sizing the context from that code, belongs
+// to the loader: kernel.LoadUserChecked and kernel.InferUserRequirement.
 package compiler
 
 import (
@@ -12,9 +15,7 @@ import (
 	"sort"
 
 	"regreloc/internal/alloc"
-	"regreloc/internal/analysis"
 	"regreloc/internal/analytic"
-	"regreloc/internal/asm"
 )
 
 // Function describes one compiled function's register behaviour.
@@ -52,7 +53,7 @@ func (g *CallGraph) Add(f Function) {
 	g.funcs[f.Name] = &f
 }
 
-// ErrRecursive is reported when a thread's call graph contains a cycle,
+// RecursionError is reported when a thread's call graph contains a cycle,
 // which makes its register requirement unbounded without spilling.
 type RecursionError struct{ Cycle []string }
 
@@ -120,73 +121,6 @@ func (g *CallGraph) ThreadRegisters(entry string, reserved int) (int, error) {
 		return 0, err
 	}
 	return n + reserved, nil
-}
-
-// DeclaredMismatchError reports a declared register budget smaller
-// than what the function's assembled code measurably uses.
-type DeclaredMismatchError struct {
-	Name               string
-	Declared, Measured int
-}
-
-func (e *DeclaredMismatchError) Error() string {
-	return fmt.Sprintf("compiler: %q declares %d registers but its code requires %d",
-		e.Name, e.Declared, e.Measured)
-}
-
-// VerifyFunction cross-checks a function's declared register budget
-// (Live+Scratch, plus the runtime's reserved registers) against its
-// assembled body in p at word addresses [start, end), using the
-// flow-sensitive analyzer's Requirement. The paper's compiler derives
-// these numbers from the code it emits; hand-declared numbers drift,
-// and a declaration smaller than the measured requirement would make
-// the kernel allocate a context the code escapes at run time.
-func VerifyFunction(f Function, p *asm.Program, start, end, reserved int) error {
-	res := analysis.Analyze(p, analysis.Options{
-		Start: start, End: end,
-		Passes: analysis.PassBounds, // CFG + Requirement only; no ContextSize set
-	})
-	declared := f.Live + f.Scratch + reserved
-	if m := res.Requirement(); m > declared {
-		return &DeclaredMismatchError{Name: f.Name, Declared: declared, Measured: m}
-	}
-	return nil
-}
-
-// InferredRegisters measures a function body's interprocedural
-// register requirement: the whole-program analyzer's per-routine
-// summaries make it at most the flow-sensitive Requirement, and
-// strictly smaller when a callee that never returns keeps post-call
-// code dead.
-func InferredRegisters(p *asm.Program, start, end int) int {
-	res := analysis.Analyze(p, analysis.Options{
-		Start: start, End: end,
-		Passes:          analysis.PassBounds,
-		Interprocedural: true,
-	})
-	return res.InferredRequirement()
-}
-
-// SizeFunction is VerifyFunction's inferred-sizing mode: instead of
-// only rejecting declarations below the measured requirement, it
-// returns the register budget to use. A declaration below the
-// interprocedural requirement is still a DeclaredMismatchError; with
-// shrink set, a declaration above it is reduced to the inferred value
-// (never below reserved), closing the paper's loop where the
-// compiler, not the declaration, decides the context size.
-func SizeFunction(f Function, p *asm.Program, start, end, reserved int, shrink bool) (int, error) {
-	inferred := InferredRegisters(p, start, end)
-	if inferred < reserved {
-		inferred = reserved
-	}
-	declared := f.Live + f.Scratch + reserved
-	if inferred > declared {
-		return 0, &DeclaredMismatchError{Name: f.Name, Declared: declared, Measured: inferred}
-	}
-	if shrink {
-		return inferred, nil
-	}
-	return declared, nil
 }
 
 // LinkRequirements merges per-module register requirements for the

@@ -4,7 +4,10 @@ import (
 	"errors"
 	"testing"
 
+	"regreloc/internal/alloc"
 	"regreloc/internal/analytic"
+	"regreloc/internal/kernel"
+	"regreloc/internal/machine"
 )
 
 func graph() *CallGraph {
@@ -42,6 +45,54 @@ func TestThreadRegistersLeafOnly(t *testing.T) {
 	got, err := g.ThreadRegisters("leaf", 0)
 	if err != nil || got != 7 {
 		t.Errorf("leaf = %d, %v", got, err)
+	}
+}
+
+func TestRequirementMatchesDeclared(t *testing.T) {
+	// The call-graph number and the loader's measured requirement agree
+	// for a leaf whose code uses exactly its declaration: r4..r6 above
+	// the runtime's reserved registers.
+	g := NewCallGraph()
+	g.Add(Function{Name: "main", Live: 2, Scratch: 1})
+	declared, err := g.ThreadRegisters("main", kernel.NumReserved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := kernel.New(machine.New(machine.Config{}), alloc.NewBitmap(128, 64, alloc.FlexibleCosts))
+	const src = "main:\n\tadd r6, r4, r5\n\thalt\n"
+	measured, err := k.InferUserRequirement(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if measured != declared {
+		t.Errorf("loader measures %d registers, call graph declares %d", measured, declared)
+	}
+	if _, err := k.LoadUserChecked(src, declared); err != nil {
+		t.Errorf("declared %d rejected: %v", declared, err)
+	}
+}
+
+func TestDeclaredSizeIgnoresDeadCode(t *testing.T) {
+	// The r20 reference after halt is unreachable; only the live body
+	// counts against the call-graph declaration, matching
+	// ThreadRegisters' view.
+	g := NewCallGraph()
+	g.Add(Function{Name: "leaf", Live: 2, Scratch: 1})
+	declared, err := g.ThreadRegisters("leaf", kernel.NumReserved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := kernel.New(machine.New(machine.Config{}), alloc.NewBitmap(128, 64, alloc.FlexibleCosts))
+	const src = "leaf:\n\tadd r6, r4, r5\n\thalt\n\tadd r20, r4, r5\n"
+	if _, err := k.LoadUserChecked(src, declared); err != nil {
+		t.Fatalf("dead code charged against declared %d: %v", declared, err)
+	}
+	measured, err := k.InferUserRequirement(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if measured != declared {
+		t.Errorf("loader measures %d registers, call graph declares %d", measured, declared)
 	}
 }
 

@@ -53,6 +53,8 @@ func digestPath(name string) string {
 //     allocator, beside Bitmap and Fixed, never unloading.
 //   - ablation-policy: the Always unloading policy, which the bulk
 //     charge of quiet probe passes does not cover.
+//   - context-sizing: Section 2.4's analyzer-driven context sizing,
+//     which no simulator path covers.
 //
 // The CSVs round to six decimals and omit most of node.Result, so
 // every sim row also pins the SHA-256 of its points' codec bytes
@@ -82,6 +84,7 @@ func TestQuickGolden(t *testing.T) {
 		{"ablation-alloc", "ablation-alloc", experiment.FidelitySim},
 		{"ablation-rounding", "ablation-rounding", experiment.FidelitySim},
 		{"ablation-policy", "ablation-policy", experiment.FidelitySim},
+		{"context-sizing", "context-sizing", experiment.FidelitySim},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			e, ok := experiment.Get(row.id)

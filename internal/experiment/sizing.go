@@ -8,6 +8,8 @@ import (
 	"regreloc/internal/analysis"
 	"regreloc/internal/analytic"
 	"regreloc/internal/asm"
+	"regreloc/internal/kernel"
+	"regreloc/internal/machine"
 	"regreloc/internal/rng"
 )
 
@@ -43,12 +45,13 @@ func init() {
 		Title: "Section 2.4: declared vs analyzer-inferred context sizing",
 		Description: "Closes the paper's software-sizing loop: context sizes " +
 			"come either from a conservative flat-scan declaration " +
-			"(analysis.MaxRegister over every word) or from the interprocedural " +
-			"analyzer's InferredRequirement, both rounded to the power-of-two " +
-			"contexts the allocator needs. The resident panel counts how many " +
-			"of the thread population fit a register file of F registers at " +
-			"once (L column holds F); the utilization panel cross-checks with " +
-			"the Section 3.4 analytic model at the resulting context counts.",
+			"(analysis.MaxRegister over every word) or from the loader's " +
+			"interprocedural sizing (kernel.InferUserRequirement), both rounded " +
+			"to the power-of-two contexts the allocator needs. The resident " +
+			"panel counts how many of the thread population fit a register " +
+			"file of F registers at once (L column holds F); the utilization " +
+			"panel cross-checks with the Section 3.4 analytic model at the " +
+			"resulting context counts.",
 		Run: func(seed uint64, scale Scale) *Report {
 			r := &Report{
 				ID:    "context-sizing",
@@ -66,6 +69,7 @@ func init() {
 				n = 64
 			}
 
+			k := kernel.New(machine.New(machine.Config{}), alloc.NewBitmap(128, 64, alloc.FlexibleCosts))
 			declared := make([]int, 0, n)
 			inferred := make([]int, 0, n)
 			for i := 0; i < n; i++ {
@@ -77,12 +81,12 @@ func init() {
 					r.Err = fmt.Errorf("sizing program %d: %w", i, err)
 					return r
 				}
-				res := analysis.Analyze(p, analysis.Options{
-					Passes:          analysis.PassBounds,
-					Interprocedural: true,
-				})
 				d := analysis.MaxRegister(p, 0, 0)
-				inf := res.InferredRequirement()
+				inf, err := k.InferUserRequirement(text)
+				if err != nil {
+					r.Err = fmt.Errorf("sizing program %d: %w", i, err)
+					return r
+				}
 				if inf > d {
 					r.Err = fmt.Errorf("sizing program %d: inferred %d exceeds flat %d", i, inf, d)
 					return r

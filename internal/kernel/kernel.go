@@ -243,43 +243,6 @@ func (k *Kernel) InferUserRequirement(src string) (int, error) {
 	return req, nil
 }
 
-// LoadUserInferred is the analysis-driven sizing mode of
-// LoadUserChecked (the paper's thesis closed into a loop: software
-// decides context sizes, and here the deciding software is the
-// analyzer). The declared size is checked against the interprocedural
-// requirement: declared < inferred is rejected, and with shrink set a
-// declared size larger than needed is reduced to the inferred one so
-// more contexts fit the register file. It returns the loaded image
-// and the context size to spawn the thread with.
-func (k *Kernel) LoadUserInferred(src string, declared int, shrink bool) (*asm.Program, int, error) {
-	res, err := k.analyzeUser(src, declared, true)
-	if err != nil {
-		return nil, 0, err
-	}
-	inferred := res.InferredRequirement()
-	if inferred < NumReserved {
-		inferred = NumReserved
-	}
-	if declared < inferred {
-		return nil, 0, fmt.Errorf("kernel: declared context of %d registers is below the inferred requirement of %d",
-			declared, inferred)
-	}
-	for _, d := range res.Diags {
-		if d.Severity == analysis.Error {
-			return nil, 0, fmt.Errorf("kernel: user code rejected: %s", d)
-		}
-	}
-	size := declared
-	if shrink {
-		size = inferred
-	}
-	p, err := k.LoadUser(src)
-	if err != nil {
-		return nil, 0, err
-	}
-	return p, size, nil
-}
-
 // YieldAddr returns the address of the yield routine.
 func (k *Kernel) YieldAddr() int { return k.Runtime.Symbols["yield"] }
 

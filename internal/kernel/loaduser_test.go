@@ -24,6 +24,33 @@ func TestLoadUserCheckedRejectsOverRequirement(t *testing.T) {
 	}
 }
 
+func TestLoadUserCheckedRejectsFlowIntoData(t *testing.T) {
+	// The requirement fits, but execution falls into a data word: the
+	// error-severity RR102 must still reject the load.
+	k := newKernel(t)
+	_, err := k.LoadUserChecked("user:\nmovi r4, 1\n.word 0\n", 8)
+	if err == nil || !strings.Contains(err.Error(), "RR102") {
+		t.Fatalf("err = %v", err)
+	}
+}
+
+func TestUnreachableUserCodeNotCharged(t *testing.T) {
+	// The r20 reference after halt is dead: neither the check nor the
+	// sizing charges it.
+	k := newKernel(t)
+	const src = "user:\nmovi r4, 1\nhalt\nadd r20, r4, r4\n"
+	if _, err := k.LoadUserChecked(src, 8); err != nil {
+		t.Fatalf("dead code rejected: %v", err)
+	}
+	req, err := k.InferUserRequirement(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if req != 5 {
+		t.Errorf("inferred requirement = %d, want 5", req)
+	}
+}
+
 func TestLoadUserCheckedRejectsErrorDiagnostics(t *testing.T) {
 	// A branch into an LDRRM delay slot is an error-severity hazard
 	// even though every operand is in bounds.
@@ -105,35 +132,5 @@ func TestInferUserRequirementFloor(t *testing.T) {
 	}
 	if req != NumReserved {
 		t.Errorf("inferred requirement = %d, want the NumReserved floor %d", req, NumReserved)
-	}
-}
-
-func TestLoadUserInferredRejectsUndersizedDeclaration(t *testing.T) {
-	k := newKernel(t)
-	_, _, err := k.LoadUserInferred("user:\nmovi r9, 1\nhalt\n", 8, false)
-	if err == nil || !strings.Contains(err.Error(), "inferred requirement") {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestLoadUserInferredShrinks(t *testing.T) {
-	k := newKernel(t)
-	p, size, err := k.LoadUserInferred("user:\nmovi r4, 5\nadd r5, r4, r4\nhalt\n", 32, true)
-	if err != nil {
-		t.Fatalf("LoadUserInferred: %v", err)
-	}
-	if size != 6 {
-		t.Errorf("shrunk size = %d, want 6", size)
-	}
-	if _, ok := p.Symbols["user"]; !ok {
-		t.Error("combined image missing user symbol")
-	}
-	// Without shrink the declared size is kept.
-	_, size, err = k.LoadUserInferred("user:\nmovi r4, 5\nhalt\n", 32, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if size != 32 {
-		t.Errorf("declared size = %d, want 32", size)
 	}
 }

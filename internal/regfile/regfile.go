@@ -52,7 +52,7 @@ func (m Mode) String() string {
 	return modeNames[m]
 }
 
-// ErrOutOfContext is returned (wrapped) when bounds-checked relocation
+// OutOfContextError is returned (wrapped) when bounds-checked relocation
 // detects an operand outside the thread's declared context.
 type OutOfContextError struct {
 	Operand int // context-relative operand

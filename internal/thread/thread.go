@@ -9,8 +9,6 @@ import (
 	"fmt"
 
 	"regreloc/internal/alloc"
-	"regreloc/internal/analysis"
-	"regreloc/internal/asm"
 	"regreloc/internal/sim"
 )
 
@@ -109,62 +107,6 @@ func (t *Thread) UnloadCost() int64 { return int64(t.Regs) + LoadOverhead }
 // LoadOverhead is the fixed software overhead, in cycles, added to
 // every context load and unload (blocking/unblocking bookkeeping).
 const LoadOverhead = 10
-
-// ValidateProgram checks the thread's code in p at word addresses
-// [start, end) against its declared register requirement C using the
-// flow-sensitive analyzer: the loader must reject a program whose
-// measured requirement exceeds the context the declaration will have
-// allocated, or whose reachable code references registers outside it
-// (paper Section 2.4). end = 0 means the rest of the program.
-func (t *Thread) ValidateProgram(p *asm.Program, start, end int) error {
-	res := analysis.Analyze(p, analysis.Options{
-		ContextSize: t.Regs,
-		Start:       start, End: end,
-		Passes: analysis.PassBounds,
-	})
-	if req := res.Requirement(); req > t.Regs {
-		return fmt.Errorf("thread %d: code requires %d registers but declares C=%d",
-			t.ID, req, t.Regs)
-	}
-	for _, d := range res.Diags {
-		if d.Severity == analysis.Error {
-			return fmt.Errorf("thread %d: %s", t.ID, d)
-		}
-	}
-	return nil
-}
-
-// SizeProgram is ValidateProgram's inferred-sizing mode: the
-// interprocedural analyzer decides C. A declared t.Regs below the
-// inferred requirement is rejected; with shrink set, an over-declared
-// t.Regs is reduced to the inferred requirement (never below the 4
-// runtime-reserved registers), so load/unload cost and the context
-// footprint track what the code can actually touch.
-func (t *Thread) SizeProgram(p *asm.Program, start, end int, shrink bool) error {
-	res := analysis.Analyze(p, analysis.Options{
-		ContextSize: t.Regs,
-		Start:       start, End: end,
-		Passes:          analysis.PassBounds,
-		Interprocedural: true,
-	})
-	inferred := res.InferredRequirement()
-	if inferred < 4 {
-		inferred = 4
-	}
-	if inferred > t.Regs {
-		return fmt.Errorf("thread %d: code requires %d registers but declares C=%d",
-			t.ID, inferred, t.Regs)
-	}
-	for _, d := range res.Diags {
-		if d.Severity == analysis.Error {
-			return fmt.Errorf("thread %d: %s", t.ID, d)
-		}
-	}
-	if shrink {
-		t.Regs = inferred
-	}
-	return nil
-}
 
 // Resident reports whether the thread currently holds a context.
 func (t *Thread) Resident() bool {
