@@ -47,12 +47,12 @@ func ExampleAnalyticParams() {
 
 // The static context-boundary checker from Section 2.4: a thread
 // declared to use an 8-register context must not reference r8+.
-func ExampleCheckProgram() {
+func ExampleAnalyzeProgram() {
 	prog, _ := regreloc.Assemble("add r9, r1, r1\nhalt")
-	for _, v := range regreloc.CheckProgram(prog, regreloc.CheckOptions{ContextSize: 8}) {
-		fmt.Println(v)
+	for _, d := range regreloc.AnalyzeProgram(prog, regreloc.AnalysisOptions{ContextSize: 8}).Diags {
+		fmt.Println(d)
 	}
-	// Output: line 1 (addr 0): add r9, r1, r1: rd operand r9 outside context of 8 registers
+	// Output: line 1 (addr 0): RR101 error: rd operand r9 outside context of 8 registers [add r9, r1, r1]
 }
 
 // The Section 2.4 compiler tradeoff: a thread needing 17 registers

@@ -1,15 +1,16 @@
-// Package analysis implements the flow-sensitive static analyzer for
-// assembled register relocation programs — the "separate tool" paper
+// Package analysis implements the static analyzer for assembled
+// register relocation programs — the one "separate tool" paper
 // Section 2.4 proposes for statically checking executables for
 // violations of context boundaries, grown into a multi-pass framework:
 //
-//  1. CFG construction with reachability, so .word data and dead code
-//     stop producing false positives (the flat scan, Flat, decodes
-//     every word).
-//  2. Backward per-register liveness dataflow, powering a
-//     flow-sensitive context-boundary check and Requirement(), which
-//     computes the minimal context size the code needs — the number
-//     the paper says the compiler must determine for each thread.
+//  1. CFG construction with reachability. One walk over the range's
+//     operand fields reports out-of-context operands in reachable code
+//     as errors and in dead code as Info (.word data and .org padding
+//     are never decoded), and yields both Requirement() and the
+//     flow-insensitive FlatRequirement().
+//  2. Backward per-register liveness dataflow. Requirement() is the
+//     minimal context size the reachable code needs — the number the
+//     paper says the compiler must determine for each thread.
 //  3. Register relocation hazard detection: register accesses inside
 //     LDRRM/LDRRM2 delay slots that observe the wrong context,
 //     branches into delay slots, unpaired PSW save/restore around
@@ -57,7 +58,7 @@ func (s Severity) MarshalJSON() ([]byte, error) {
 
 // Stable diagnostic codes. The numbering groups codes by pass: RR1xx
 // are context-boundary findings, RR2xx are relocation hazards, RR3xx
-// come from the flat unreachable-code fallback scan.
+// are context-boundary findings in unreachable code.
 const (
 	// CodeOutOfContext: a reachable instruction's register operand is
 	// outside the declared context size.
@@ -83,8 +84,8 @@ const (
 	// CodeUnpairedPSW: a context switch saves the PSW without
 	// restoring it, or restores without saving.
 	CodeUnpairedPSW = "RR206"
-	// CodeUnreachable: the flat fallback scan found an out-of-context
-	// operand in an unreachable word (dead code or data shadow).
+	// CodeUnreachable: an unreachable code word (dead code) decodes
+	// with an out-of-context operand.
 	CodeUnreachable = "RR301"
 	// CodeCallIntoSlot: a call (jal, or a jalr with a statically
 	// resolved target) lands inside an LDRRM/LDRRM2 delay slot, so the
@@ -144,8 +145,8 @@ const (
 	PassBounds Pass = 1 << iota
 	// PassHazards is relocation hazard detection (RR201-RR206).
 	PassHazards
-	// PassUnreachable is the flat fallback scan over unreachable words
-	// (RR301) — the flat scan's behaviour, demoted to Info.
+	// PassUnreachable reports out-of-context operands in unreachable
+	// code words (RR301), at Info.
 	PassUnreachable
 	// PassInterproc is the interprocedural hazard family (RR401-RR404).
 	// It only fires when Options.Interprocedural builds the call-graph
@@ -236,6 +237,7 @@ type Result struct {
 	cfg   *cfg
 	live  *liveness
 	req   int
+	flat  int
 	inter *interproc
 }
 
@@ -245,16 +247,15 @@ func Analyze(p *asm.Program, opts Options) *Result {
 	c := buildCFG(p, opts)
 	r := &Result{prog: p, opts: opts, cfg: c}
 	r.live = computeLiveness(c, opts)
-	r.req = r.computeRequirement()
-
 	if opts.Passes&PassBounds != 0 {
-		r.boundsPass()
+		for _, e := range c.intoData {
+			r.reportAt(CodeFlowIntoData, Error, e.from, e.from,
+				"control flow reaches .word data at addr %d", e.to)
+		}
 	}
+	r.operandPass()
 	if opts.Passes&PassHazards != 0 {
 		r.hazardPass()
-	}
-	if opts.Passes&PassUnreachable != 0 {
-		r.unreachablePass()
 	}
 	if opts.Interprocedural {
 		r.inter = computeInterproc(r)
@@ -293,8 +294,16 @@ func AnalyzeSource(src string, opts Options) (*Result, error) {
 // references (reads or writes — a dead store still needs its target
 // register to exist). Under MultiRRM the selector bit is masked, so
 // the requirement is per-context. Data words, padding, and dead code
-// do not contribute; MaxRegister's flat scan skips only the first two.
+// do not contribute.
 func (r *Result) Requirement() int { return r.req }
+
+// FlatRequirement is Requirement without control flow: one more than
+// the highest register any code word in the range references, dead
+// code included (data words and padding still do not count). It is
+// what a loader that trusts no control flow would declare, and the
+// worst case the interprocedural analysis assumes for a callee it
+// cannot resolve.
+func (r *Result) FlatRequirement() int { return r.flat }
 
 // Reachable reports whether the word at addr is reachable code.
 func (r *Result) Reachable(addr int) bool { return r.cfg.reachable(addr) }
@@ -436,65 +445,41 @@ func operandFields(in isa.Instr) []operandField {
 	return out
 }
 
-func (r *Result) computeRequirement() int {
-	max := -1
+// operandPass is the analyzer's one walk over the range's operand
+// fields. Every code word counts toward FlatRequirement, and reachable
+// ones toward Requirement. With a context size set, an operand outside
+// it is an error in reachable code (RR101) and Info in dead code
+// (RR301): dead code cannot violate a context at run time, yet usually
+// signals a stale program or a wrong entry list.
+func (r *Result) operandPass() {
+	req, flat := -1, -1
 	for a := r.opts.Start; a < r.opts.End; a++ {
-		if !r.cfg.reachable(a) || r.cfg.kindAt(a) != kindCode {
+		if r.cfg.kindAt(a) != kindCode {
 			continue
 		}
+		reachable := r.cfg.reachable(a)
 		for _, f := range operandFields(r.cfg.instrAt(a)) {
-			if v := contextRelative(f.value, r.opts.MultiRRM); v > max {
-				max = v
+			v := contextRelative(f.value, r.opts.MultiRRM)
+			flat = max(flat, v)
+			if reachable {
+				req = max(req, v)
 			}
-		}
-	}
-	return max + 1
-}
-
-// boundsPass reports RR101 for reachable out-of-context operands and
-// RR102 for control flow into data words.
-func (r *Result) boundsPass() {
-	for _, e := range r.cfg.intoData {
-		r.reportAt(CodeFlowIntoData, Error, e.from, e.from,
-			"control flow reaches .word data at addr %d", e.to)
-	}
-	if r.opts.ContextSize < 1 {
-		return
-	}
-	for a := r.opts.Start; a < r.opts.End; a++ {
-		if !r.cfg.reachable(a) || r.cfg.kindAt(a) != kindCode {
-			continue
-		}
-		for _, f := range operandFields(r.cfg.instrAt(a)) {
-			if contextRelative(f.value, r.opts.MultiRRM) >= r.opts.ContextSize {
+			if r.opts.ContextSize < 1 || v < r.opts.ContextSize {
+				continue
+			}
+			switch {
+			case reachable && r.opts.Passes&PassBounds != 0:
 				r.report(CodeOutOfContext, Error, a,
 					"%s operand %s outside context of %d registers",
 					f.name, r.operandName(f.value), r.opts.ContextSize)
-			}
-		}
-	}
-}
-
-// unreachablePass runs the flat scan the old checker performed, but
-// only over unreachable code words, reporting findings as Info — dead
-// code cannot violate a context at run time, yet usually signals a
-// stale program or a wrong entry list.
-func (r *Result) unreachablePass() {
-	if r.opts.ContextSize < 1 {
-		return
-	}
-	for a := r.opts.Start; a < r.opts.End; a++ {
-		if r.cfg.reachable(a) || r.cfg.kindAt(a) != kindCode {
-			continue
-		}
-		for _, f := range operandFields(r.cfg.instrAt(a)) {
-			if contextRelative(f.value, r.opts.MultiRRM) >= r.opts.ContextSize {
+			case !reachable && r.opts.Passes&PassUnreachable != 0:
 				r.report(CodeUnreachable, Info, a,
 					"unreachable word decodes with %s operand %s outside context of %d registers (flat scan)",
 					f.name, r.operandName(f.value), r.opts.ContextSize)
 			}
 		}
 	}
+	r.req, r.flat = req+1, flat+1
 }
 
 func regList(mask uint64) []int {

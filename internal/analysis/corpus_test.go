@@ -13,7 +13,7 @@ import (
 	"regreloc/internal/kernel"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/corpus.golden")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata")
 
 // exampleContexts pins the declared context size each example program
 // is held to (matching selfcheck_test.go and the Makefile's lint-asm).
@@ -97,22 +97,5 @@ func TestCorpusRequirements(t *testing.T) {
 		t.Error("no kernel routine is strictly tighter than the intraprocedural requirement")
 	}
 
-	goldenPath := filepath.Join("testdata", "corpus.golden")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPath, []byte(b.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("read golden (run with -update to create): %v", err)
-	}
-	if got := b.String(); got != string(want) {
-		t.Errorf("corpus requirements drifted from %s (run with -update to accept):\ngot:\n%s\nwant:\n%s",
-			goldenPath, got, want)
-	}
+	checkGolden(t, filepath.Join("testdata", "corpus.golden"), b.String())
 }

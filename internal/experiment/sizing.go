@@ -7,7 +7,6 @@ import (
 	"regreloc/internal/alloc"
 	"regreloc/internal/analysis"
 	"regreloc/internal/analytic"
-	"regreloc/internal/asm"
 	"regreloc/internal/kernel"
 	"regreloc/internal/machine"
 	"regreloc/internal/rng"
@@ -44,8 +43,8 @@ func init() {
 		ID:    "context-sizing",
 		Title: "Section 2.4: declared vs analyzer-inferred context sizing",
 		Description: "Closes the paper's software-sizing loop: context sizes " +
-			"come either from a conservative flat-scan declaration " +
-			"(analysis.MaxRegister over every word) or from the loader's " +
+			"come either from a conservative flat declaration " +
+			"(the analyzer's FlatRequirement, every code word counted) or from the loader's " +
 			"interprocedural sizing (kernel.InferUserRequirement), both rounded " +
 			"to the power-of-two contexts the allocator needs. The resident " +
 			"panel counts how many of the thread population fit a register " +
@@ -76,12 +75,12 @@ func init() {
 				live := src.IntRange(2, 8)
 				high := src.IntRange(20, 31)
 				text := sizingProgram(live, high, i%2 == 0)
-				p, err := asm.Assemble(text)
+				res, err := analysis.AnalyzeSource(text, analysis.Options{})
 				if err != nil {
 					r.Err = fmt.Errorf("sizing program %d: %w", i, err)
 					return r
 				}
-				d := analysis.MaxRegister(p, 0, 0)
+				d := res.FlatRequirement()
 				inf, err := k.InferUserRequirement(text)
 				if err != nil {
 					r.Err = fmt.Errorf("sizing program %d: %w", i, err)

@@ -1,6 +1,36 @@
 package experiment
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+
+	"regreloc/internal/alloc"
+	"regreloc/internal/kernel"
+	"regreloc/internal/machine"
+)
+
+// TestSizingProgramsLoadAtInferredSize: the loader accepts every
+// program the experiment's generator can emit at the size the loader
+// itself infers, including the halting half, whose high-register
+// epilogue is dead only interprocedurally.
+func TestSizingProgramsLoadAtInferredSize(t *testing.T) {
+	k := kernel.New(machine.New(machine.Config{}), alloc.NewBitmap(128, 64, alloc.FlexibleCosts))
+	for live := 2; live <= 8; live++ {
+		for high := 20; high <= 31; high++ {
+			for _, halting := range []bool{false, true} {
+				src := sizingProgram(live, high, halting)
+				name := fmt.Sprintf("live=%d high=%d halting=%t", live, high, halting)
+				req, err := k.InferUserRequirement(src)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if _, err := k.LoadUserChecked(src, req); err != nil {
+					t.Errorf("%s: rejected at its inferred size %d: %v", name, req, err)
+				}
+			}
+		}
+	}
+}
 
 func TestContextSizingRunsEndToEnd(t *testing.T) {
 	e, ok := Get("context-sizing")

@@ -23,8 +23,10 @@
 package kernel
 
 import (
+	"errors"
 	"fmt"
 	"strings"
+	"sync"
 
 	"regreloc/internal/alloc"
 	"regreloc/internal/analysis"
@@ -174,13 +176,66 @@ func New(m *machine.Machine, a alloc.Allocator) *Kernel {
 	return &Kernel{M: m, Alloc: a, Runtime: rt, saveNext: SaveAreaBase}
 }
 
+// userPrefix is kernel assembly placed in front of user code, ending
+// in ".org UserBase" so that the user code lands at UserBase and can
+// name the prefix's symbols. lines counts the prefix's lines, so that
+// errors and diagnostics name the user's own lines.
+type userPrefix struct {
+	text  string
+	lines int
+}
+
+func newUserPrefix(parts ...string) userPrefix {
+	text := fmt.Sprintf("%s\n.org %d\n", strings.Join(parts, "\n"), UserBase)
+	return userPrefix{text: text, lines: strings.Count(text, "\n")}
+}
+
+// runtimePrefix is what LoadUser assembles in front of user code,
+// built on first use.
+var runtimePrefix = sync.OnceValue(func() userPrefix { return newUserPrefix(RuntimeSource()) })
+
+// assemble assembles src at UserBase behind the prefix.
+func (p userPrefix) assemble(src string) (*asm.Program, error) {
+	prog, err := asm.Assemble(p.text + src)
+	return prog, p.rebase(err)
+}
+
+// analyze assembles src behind the prefix and analyzes the user region
+// (from UserBase on), honoring the user's lint:ignore directives.
+func (p userPrefix) analyze(src string, opts analysis.Options) (*analysis.Result, error) {
+	opts.Start = UserBase
+	res, err := analysis.AnalyzeSource(p.text+src, opts)
+	if err != nil {
+		return nil, p.rebase(err)
+	}
+	// Suppressions have matched combined lines by now.
+	for _, ds := range [][]analysis.Diagnostic{res.Diags, res.Suppressed} {
+		for i := range ds {
+			if ds[i].Line > p.lines {
+				ds[i].Line -= p.lines
+			}
+		}
+	}
+	return res, nil
+}
+
+// rebase moves an assembly error from a combined line to the user's.
+func (p userPrefix) rebase(err error) error {
+	var aerr *asm.Error
+	if errors.As(err, &aerr) && aerr.Line > p.lines {
+		return &asm.Error{Line: aerr.Line - p.lines, Msg: aerr.Msg}
+	}
+	return err
+}
+
 // LoadUser assembles user (thread) code together with the runtime so
 // that user code can reference the runtime symbols (yield, load_entry_n,
 // unload_entry_n) directly — e.g. "jal r0, yield" for the Figure 3
 // switch. The user source is placed at UserBase; the combined image
-// replaces the runtime image and symbol table.
+// replaces the runtime image and symbol table. An assembly error names
+// a line of src.
 func (k *Kernel) LoadUser(src string) (*asm.Program, error) {
-	combined, err := asm.Assemble(fmt.Sprintf("%s\n.org %d\n%s", RuntimeSource(), UserBase, src))
+	combined, err := runtimePrefix().assemble(src)
 	if err != nil {
 		return nil, err
 	}
@@ -190,40 +245,42 @@ func (k *Kernel) LoadUser(src string) (*asm.Program, error) {
 }
 
 // LoadUserChecked is LoadUser with the static analyzer applied to the
-// user region first (paper Section 2.4's load-time check): the program
-// is rejected when its flow-sensitive register requirement exceeds
-// ctxSize, or when any error-severity diagnostic — an out-of-context
-// operand in reachable code, a branch into an LDRRM delay slot, an
-// unaligned relocation mask — is found. lint:ignore directives in the
-// user source suppress intentional hazards.
+// user region first (paper Section 2.4's load-time check). The program
+// is rejected when the requirement InferUserRequirement infers exceeds
+// ctxSize, so code is never too big for the size the loader infers, or
+// when any error-severity diagnostic other than an out-of-context
+// operand is found: control flow into data, a branch or call into an
+// LDRRM delay slot, an unaligned relocation mask. An out-of-context
+// operand left after the size check is on code the interprocedural
+// analysis proves dead. lint:ignore directives in the user source
+// suppress intentional hazards; errors and diagnostics name lines of
+// src.
 func (k *Kernel) LoadUserChecked(src string, ctxSize int) (*asm.Program, error) {
-	res, err := k.analyzeUser(src, ctxSize, false)
+	res, err := k.analyzeUser(src, ctxSize)
 	if err != nil {
 		return nil, err
 	}
-	if req := res.Requirement(); req > ctxSize {
+	if req := res.InferredRequirement(); req > ctxSize {
 		return nil, fmt.Errorf("kernel: user code requires %d registers but the context holds %d",
 			req, ctxSize)
 	}
 	for _, d := range res.Diags {
-		if d.Severity == analysis.Error {
+		if d.Severity == analysis.Error && d.Code != analysis.CodeOutOfContext {
 			return nil, fmt.Errorf("kernel: user code rejected: %s", d)
 		}
 	}
 	return k.LoadUser(src)
 }
 
-// analyzeUser runs the static analyzer over the user region of the
-// combined runtime+user image, with the machine's relocation
+// analyzeUser runs the interprocedural analyzer over the user region
+// of the combined runtime+user image, with the machine's relocation
 // configuration applied.
-func (k *Kernel) analyzeUser(src string, ctxSize int, interproc bool) (*analysis.Result, error) {
-	combined := fmt.Sprintf("%s\n.org %d\n%s", RuntimeSource(), UserBase, src)
-	return analysis.AnalyzeSource(combined, analysis.Options{
+func (k *Kernel) analyzeUser(src string, ctxSize int) (*analysis.Result, error) {
+	return runtimePrefix().analyze(src, analysis.Options{
 		ContextSize:     ctxSize,
-		Start:           UserBase,
 		MultiRRM:        k.M.Config().MultiRRM,
 		DelaySlots:      k.M.Config().LDRRMDelaySlots,
-		Interprocedural: interproc,
+		Interprocedural: true,
 	})
 }
 
@@ -232,7 +289,7 @@ func (k *Kernel) analyzeUser(src string, ctxSize int, interproc bool) (*analysis
 // sufficient, never below NumReserved since the runtime reads R0-R3
 // behind the thread's back.
 func (k *Kernel) InferUserRequirement(src string) (int, error) {
-	res, err := k.analyzeUser(src, 0, true)
+	res, err := k.analyzeUser(src, 0)
 	if err != nil {
 		return 0, err
 	}

@@ -3,7 +3,6 @@ package kernel
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 
 	"regreloc/internal/asm"
@@ -196,16 +195,18 @@ type image struct {
 	alloc16, dealloc                       int
 }
 
+// managerPrefix is what a managed image holds in front of the user
+// code: the runtime, the Appendix A allocator and the manager stubs,
+// built on first use.
+var managerPrefix = sync.OnceValue(func() userPrefix {
+	return newUserPrefix(RuntimeSource(), AllocASMSource(), managerStubs)
+})
+
 // newImage assembles the combined image: runtime, Appendix A
-// allocator, manager stubs, and the user code at UserBase.
+// allocator, manager stubs, and the user code at UserBase. An assembly
+// error names a line of userSrc.
 func newImage(userSrc string) (*image, error) {
-	prog, err := asm.Assemble(strings.Join([]string{
-		RuntimeSource(),
-		AllocASMSource(),
-		managerStubs,
-		fmt.Sprintf(".org %d", UserBase),
-		userSrc,
-	}, "\n"))
+	prog, err := managerPrefix().assemble(userSrc)
 	if err != nil {
 		return nil, err
 	}

@@ -5,8 +5,17 @@ import (
 	"fmt"
 	"testing"
 
+	"regreloc/internal/asm"
 	"regreloc/internal/machine"
 )
+
+func TestNewManagerReportsUserLines(t *testing.T) {
+	_, err := NewManager("worker:\nbogus r1\n")
+	var aerr *asm.Error
+	if !errors.As(err, &aerr) || aerr.Line != 2 {
+		t.Errorf("err = %v, want an asm error at the user's line 2", err)
+	}
+}
 
 func TestManagedOversubscription(t *testing.T) {
 	// The full system, end to end, on the machine: 12 threads compete

@@ -216,12 +216,8 @@ func RenderCSV(r *ExperimentReport) string { return experiment.CSV(r) }
 // RenderSummary renders per-panel fixed-vs-flexible speedup summaries.
 func RenderSummary(r *ExperimentReport) string { return experiment.Summary(r) }
 
-// Static checking and compiler support.
+// Compiler support.
 type (
-	// CheckOptions configures the context-boundary checker.
-	CheckOptions = analysis.FlatOptions
-	// CheckViolation is one out-of-context register reference.
-	CheckViolation = analysis.Violation
 	// CallGraph carries per-function register usage for requirement
 	// analysis.
 	CallGraph = compiler.CallGraph
@@ -229,15 +225,9 @@ type (
 	SizeAdvice = compiler.Advice
 )
 
-// CheckProgram statically verifies that a binary stays within its
-// declared context (paper Section 2.4) using the flat flow-insensitive
-// scan; AnalyzeProgram is the flow-sensitive analyzer.
-func CheckProgram(p *Program, opts CheckOptions) []CheckViolation {
-	return analysis.Flat(p, opts)
-}
-
-// Flow-sensitive static analysis (Section 2.4, grown into a real
-// analyzer: CFG, liveness, hazards, derived requirements).
+// Static context-boundary checking (Section 2.4's "separate tool",
+// grown into a real analyzer: CFG, liveness, hazards, derived
+// requirements).
 type (
 	// AnalysisOptions configures the flow-sensitive analyzer.
 	AnalysisOptions = analysis.Options
@@ -248,10 +238,11 @@ type (
 	AnalysisDiagnostic = analysis.Diagnostic
 )
 
-// AnalyzeProgram runs the flow-sensitive analyzer over an assembled
-// binary: reachability-aware context-boundary checks, LDRRM delay-slot
-// hazards, relocation-mask validation, and the minimal context
-// Requirement().
+// AnalyzeProgram statically checks that a binary stays within its
+// declared context (paper Section 2.4): out-of-context operands in
+// reachable code (errors) and in dead code (Info), LDRRM delay-slot
+// hazards, relocation-mask validation, the minimal context
+// Requirement() and the flow-insensitive FlatRequirement().
 func AnalyzeProgram(p *Program, opts AnalysisOptions) *AnalysisResult {
 	return analysis.Analyze(p, opts)
 }

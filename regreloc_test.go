@@ -112,9 +112,9 @@ func TestPublicAPICompilerAndChecker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vs := regreloc.CheckProgram(prog, regreloc.CheckOptions{ContextSize: 8})
-	if len(vs) != 1 {
-		t.Errorf("violations = %v", vs)
+	res := regreloc.AnalyzeProgram(prog, regreloc.AnalysisOptions{ContextSize: 8})
+	if len(res.Diags) != 1 || res.Diags[0].Code != "RR101" || res.FlatRequirement() != 10 {
+		t.Errorf("diagnostics = %v, flat requirement = %d", res.Diags, res.FlatRequirement())
 	}
 }
 
