@@ -12,9 +12,10 @@ import (
 // basic-block-local map of statically known register constants
 // (movi/lui/ori/addi chains, covering the li pseudo), calling visit
 // for every reachable instruction with the constants that hold *on
-// entry* to it. The map is reset at block leaders and across
-// data/dead-code gaps, so a value is only trusted when every path
-// agrees on it — the same discipline the RRM mask checks use.
+// entry* to it. The map is reset at block leaders, across
+// data/dead-code gaps and after calls (the callee may write any
+// register), so a value is only trusted when every path agrees on it
+// — the same discipline the RRM mask checks use.
 func trackConstants(c *cfg, start, end int, visit func(addr int, in isa.Instr, consts map[int]int64)) {
 	consts := map[int]int64{}
 	for a := start; a < end; a++ {
@@ -47,6 +48,8 @@ func trackConstants(c *cfg, start, end int, visit func(addr int, in isa.Instr, c
 			} else {
 				delete(consts, in.Rd)
 			}
+		case isa.JAL, isa.JALR:
+			consts = map[int]int64{}
 		default:
 			if _, _, _, writesRd := isa.RegisterFields(in.Op); writesRd {
 				delete(consts, in.Rd)
@@ -175,7 +178,7 @@ func (r *Result) CallGraphDOT() string {
 	for _, e := range ip.sortedEntries() {
 		rt := ip.routines[e]
 		label := fmt.Sprintf("%s\\nC=%d", ip.nameOf(e), rt.req)
-		if !rt.returns {
+		if !rt.returns() {
 			label += "\\n(noreturn)"
 		}
 		fmt.Fprintf(&b, "  %q [label=\"%s\"];\n", ip.nameOf(e), label)

@@ -77,6 +77,26 @@ stop:
 	}
 }
 
+// The routine walk follows every path the machine takes, so the r30
+// write each program executes counts toward the inferred requirement:
+// a call into .org padding (executed as NOPs up to the add); a helper
+// g whose jmp r5 returns through f's caller's link, past f; and a
+// jalr whose register the callee h rewrote after the movi, so the
+// jalr is unresolved rather than a call to the halting g.
+func TestInferredRequirementCountsEveryExecutedPath(t *testing.T) {
+	for name, src := range map[string]string{
+		"call into padding":  "main:\nmovi r1, 7\njal r5, tgt\nhalt\ntgt:\n.org 6\nadd r30, r1, r1\njmp r5\n",
+		"return past caller": "main:\njal r5, f\nmovi r30, 7\nhalt\nf:\njal r9, g\nhalt\ng:\njmp r5\n",
+		"rewritten jalr register": "main:\nmovi r6, g\njal r5, h\njalr r7, r6\nmovi r30, 7\nhalt\n" +
+			"g:\nhalt\nh:\nmovi r6, k\njmp r5\nk:\njmp r7\n",
+	} {
+		r := analyzeInter(t, src, analysis.Options{})
+		if got := r.InferredRequirement(); got != 31 {
+			t.Errorf("%s: InferredRequirement() = %d, want 31 (the r30 write executes)", name, got)
+		}
+	}
+}
+
 // A callee returning by the jmp convention keeps the caller's
 // fall-through alive and contributes its own requirement.
 func TestReturningCalleeFallthrough(t *testing.T) {
@@ -174,6 +194,24 @@ big:
 	}
 	if got[0].Severity != analysis.Error {
 		t.Errorf("RR403 severity = %v, want error", got[0].Severity)
+	}
+}
+
+// Helpers that only code after a halting call reaches are never
+// entered, so their call sites report nothing: no RR403 for the inner
+// helper's r30 at the size the live code fits.
+func TestDeadCallSitesReportNothing(t *testing.T) {
+	src := "main:\nmovi r4, 5\njal r5, stop\njal r6, 3\nhalt\nstop:\nhalt\n" +
+		"jal r7, 2\njmp r6\nmovi r30, 1\njmp r7\n"
+	r := analyzeInter(t, src, analysis.Options{ContextSize: 6})
+	if got := diagsWithCode(r, analysis.CodeCalleeRequirement); len(got) != 0 {
+		t.Errorf("RR403 at a dead call site: %v", got)
+	}
+	if _, ok := r.RoutineAt(5); ok {
+		t.Error("routine at addr 5 entered, though only dead code calls it")
+	}
+	if got := r.InferredRequirement(); got != 6 {
+		t.Errorf("InferredRequirement() = %d, want 6", got)
 	}
 }
 
