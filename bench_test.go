@@ -409,11 +409,10 @@ func BenchmarkScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		last = e.Run(uint64(i+1), benchScale)
 	}
-	if fx, ok := last.Find("P-sweep", "fixed", 12, 512); ok {
-		b.ReportMetric(fx.Eff, "eff-fixed-P512")
-	}
-	if fl, ok := last.Find("P-sweep", "flexible", 12, 512); ok {
-		b.ReportMetric(fl.Eff, "eff-flexible-P512")
+	for _, p := range last.PanelPoints("P-sweep") {
+		if p.R == 12 && p.L == 512 {
+			b.ReportMetric(p.Eff, "eff-"+p.Arch+"-P512")
+		}
 	}
 }
 

@@ -28,4 +28,12 @@
 // entry points. The implementation lives under internal/; the cmd/
 // directory has CLI tools (rrsim, rrasm, rrvm, rrcheck) and examples/
 // has runnable demonstrations.
+//
+// The facade holds what the README, this comment and the examples
+// (examples/ and the package's godoc examples) use. It also keeps the
+// extension substrates (SimulateNetwork, NetworkFixedPoint,
+// CoupledNodeRun, DefaultCacheStudy and NewAdaptiveLimiter): they are
+// the library's only entry points to the interconnect, coupled
+// co-simulation and shared-cache studies that DESIGN.md's traceability
+// table lists. Everything else stays internal.
 package regreloc

@@ -12,14 +12,10 @@ import (
 	"regreloc"
 )
 
-func main() {
-	m := regreloc.NewMachine(regreloc.MachineConfig{Registers: 128, LDRRMDelaySlots: 1})
-	k := regreloc.NewKernel(m, regreloc.NewBitmapAllocator(128, 64, regreloc.FlexibleCosts))
-
-	// Each thread increments its private counter (context-relative r4)
-	// and yields; "jal r0, yield" saves the resume PC in R0, exactly as
-	// in the paper's listing.
-	if _, err := k.LoadUser(`
+// threads is the example's user code. Each thread increments its
+// private counter (context-relative r4) and yields; "jal r0, yield"
+// saves the resume PC in R0, exactly as in the paper's listing.
+const threads = `
 	threadA:
 		addi r4, r4, 1
 		jal r0, yield
@@ -28,15 +24,24 @@ func main() {
 		addi r4, r4, 1
 		jal r0, yield
 		beq r0, r0, threadB
-	`); err != nil {
+	`
+
+// ctx is the size of the contexts the threads are spawned in, which
+// the loader checks their code against (paper Section 2.4).
+const ctx = 8
+
+func main() {
+	m := regreloc.NewMachine(regreloc.MachineConfig{Registers: 128, LDRRMDelaySlots: 1})
+	k := regreloc.NewKernel(m, regreloc.NewBitmapAllocator(128, 64, regreloc.FlexibleCosts))
+	if _, err := k.LoadUserChecked(threads, ctx); err != nil {
 		log.Fatal(err)
 	}
 
-	a, err := k.Spawn("A", k.Runtime.Symbols["threadA"], 8)
+	a, err := k.Spawn("A", k.Runtime.Symbols["threadA"], ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
-	b, err := k.Spawn("B", k.Runtime.Symbols["threadB"], 8)
+	b, err := k.Spawn("B", k.Runtime.Symbols["threadB"], ctx)
 	if err != nil {
 		log.Fatal(err)
 	}

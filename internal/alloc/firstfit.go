@@ -109,11 +109,6 @@ func (f *FirstFit) FileSize() int { return f.fileSize }
 // Costs implements Allocator.
 func (f *FirstFit) Costs() CostModel { return f.costs }
 
-// Fragments returns the number of free spans — a fragmentation
-// indicator unique to arbitrary-size allocation (the bitmap allocator
-// cannot fragment below its chunk granularity).
-func (f *FirstFit) Fragments() int { return len(f.free) }
-
 // ExactCosts models the Section 4 prediction that arbitrary-size
 // context management costs more in software than the bitmap scheme: a
 // free-list walk instead of a couple of mask operations.

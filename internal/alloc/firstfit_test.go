@@ -59,7 +59,7 @@ func TestFirstFitCoalescing(t *testing.T) {
 	a.Free(c1)
 	big, ok := a.Alloc(60)
 	if !ok || big.Base != 0 || big.Size != 60 {
-		t.Errorf("coalesced alloc = %+v ok=%v (fragments %d)", big, ok, a.Fragments())
+		t.Errorf("coalesced alloc = %+v ok=%v (fragments %d)", big, ok, len(a.free))
 	}
 }
 
@@ -71,8 +71,8 @@ func TestFirstFitCoalesceAllThreeWays(t *testing.T) {
 	a.Free(c1)
 	a.Free(c3)
 	a.Free(c2) // merges with both neighbors
-	if a.Fragments() != 1 {
-		t.Errorf("fragments = %d want 1", a.Fragments())
+	if len(a.free) != 1 {
+		t.Errorf("fragments = %d want 1", len(a.free))
 	}
 	if _, ok := a.Alloc(128); !ok {
 		t.Error("full-file alloc failed after coalescing")
@@ -145,7 +145,7 @@ func TestFirstFitRandomWorkloadInvariants(t *testing.T) {
 	for _, l := range live {
 		a.Free(l)
 	}
-	if a.Fragments() != 1 || a.FreeRegisters() != 256 {
-		t.Errorf("after draining: fragments=%d free=%d", a.Fragments(), a.FreeRegisters())
+	if len(a.free) != 1 || a.FreeRegisters() != 256 {
+		t.Errorf("after draining: fragments=%d free=%d", len(a.free), a.FreeRegisters())
 	}
 }

@@ -305,27 +305,10 @@ func (r *Result) Requirement() int { return r.req }
 // cannot resolve.
 func (r *Result) FlatRequirement() int { return r.flat }
 
-// Reachable reports whether the word at addr is reachable code.
-func (r *Result) Reachable(addr int) bool { return r.cfg.reachable(addr) }
-
 // LiveIn returns the registers live on entry to the instruction at
 // addr, as raw operand numbers (the MultiRRM selector bit kept, so
 // c1.rN appears as 32+N).
 func (r *Result) LiveIn(addr int) []int { return regList(r.live.liveIn(r.cfg, addr)) }
-
-// LiveOut returns the registers live after the instruction at addr.
-func (r *Result) LiveOut(addr int) []int { return regList(r.live.liveOut(r.cfg, addr)) }
-
-// HasErrors reports whether any unsuppressed diagnostic has Error
-// severity.
-func (r *Result) HasErrors() bool {
-	for _, d := range r.Diags {
-		if d.Severity == Error {
-			return true
-		}
-	}
-	return false
-}
 
 // report appends a diagnostic for the instruction at addr.
 func (r *Result) report(code string, sev Severity, addr int, format string, args ...any) {

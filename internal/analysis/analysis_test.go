@@ -55,9 +55,6 @@ func TestOutOfContextReachable(t *testing.T) {
 	if d.Severity != Error || d.Addr != 0 || d.Line != 1 {
 		t.Errorf("diagnostic = %+v", d)
 	}
-	if !res.HasErrors() {
-		t.Error("HasErrors = false")
-	}
 }
 
 func TestDataWordsProduceNoFalsePositives(t *testing.T) {
@@ -92,7 +89,7 @@ func TestUnreachableCodeDemotedToInfo(t *testing.T) {
 	if d := res.Diags[0]; d.Severity != Info || d.Addr != 1 {
 		t.Errorf("diagnostic = %+v", d)
 	}
-	if res.Reachable(1) {
+	if res.cfg.reachable(1) {
 		t.Error("addr 1 reported reachable")
 	}
 	if res.Requirement() != 0 {
@@ -114,7 +111,7 @@ func TestLabelsAreEntryPoints(t *testing.T) {
 	if !reflect.DeepEqual(codes(res), []string{CodeOutOfContext}) {
 		t.Fatalf("codes = %v", codes(res))
 	}
-	if !res.Reachable(1) {
+	if !res.cfg.reachable(1) {
 		t.Error("labelled addr 1 not reachable")
 	}
 }
@@ -127,7 +124,7 @@ func TestExplicitEntriesOverrideLabels(t *testing.T) {
 	if len(res.Diags) != 0 {
 		t.Fatalf("diags = %v", res.Diags)
 	}
-	if res.Reachable(3) {
+	if res.cfg.reachable(3) {
 		t.Error("helper reachable despite explicit entries")
 	}
 	if res.Requirement() != 2 {
@@ -149,7 +146,7 @@ func TestLiveness(t *testing.T) {
 	if got := res.LiveIn(1); !reflect.DeepEqual(got, []int{0, 1, 2, 3, 5}) {
 		t.Errorf("LiveIn(1) = %v", got)
 	}
-	if got := res.LiveOut(0); !reflect.DeepEqual(got, []int{0, 1, 2, 3, 5}) {
+	if got := regList(res.live.liveOut(res.cfg, 0)); !reflect.DeepEqual(got, []int{0, 1, 2, 3, 5}) {
 		t.Errorf("LiveOut(0) = %v", got)
 	}
 	// r2 is defined at 0, so it is not live in; r1 is read.
@@ -465,7 +462,7 @@ func TestPaddingTraversedAsNOP(t *testing.T) {
 	// .org leaves a padding gap; execution falls straight through it.
 	src := "movi r1, 1\n.org 4\nadd r9, r1, r1\nhalt\n"
 	res := mustAnalyze(t, src, Options{ContextSize: 8})
-	if !res.Reachable(4) {
+	if !res.cfg.reachable(4) {
 		t.Fatal("code after padding not reachable")
 	}
 	if !reflect.DeepEqual(codes(res), []string{CodeOutOfContext}) {

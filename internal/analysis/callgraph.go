@@ -124,18 +124,6 @@ func (r *Result) Routines() []Routine {
 	return out
 }
 
-// RoutineAt returns the summary of the routine entered at the given
-// address, if the interprocedural analysis identified one there.
-func (r *Result) RoutineAt(entry int) (Routine, bool) {
-	if r.inter == nil {
-		return Routine{}, false
-	}
-	if _, ok := r.inter.routines[entry]; !ok {
-		return Routine{}, false
-	}
-	return r.inter.export(entry), true
-}
-
 // InferredRequirement returns the interprocedural requirement: the
 // maximum over the CFG roots of each root routine's Requirement. It is
 // never larger than Requirement() on the same roots — call-return

@@ -28,6 +28,17 @@ func analyzeInter(t *testing.T, src string, opts analysis.Options) *analysis.Res
 	return r
 }
 
+// routineAt returns the summary of the routine entered at entry, if
+// the analysis identified one there.
+func routineAt(r *analysis.Result, entry int) (analysis.Routine, bool) {
+	for _, rt := range r.Routines() {
+		if rt.Entry == entry {
+			return rt, true
+		}
+	}
+	return analysis.Routine{}, false
+}
+
 func diagsWithCode(r *analysis.Result, code string) []analysis.Diagnostic {
 	var out []analysis.Diagnostic
 	for _, d := range r.Diags {
@@ -58,14 +69,14 @@ stop:
 	if got := r.InferredRequirement(); got != 6 {
 		t.Fatalf("InferredRequirement() = %d, want 6 (post-call code dead)", got)
 	}
-	stop, ok := r.RoutineAt(4)
+	stop, ok := routineAt(r, 4)
 	if !ok {
 		t.Fatalf("no routine at addr 4 (stop)")
 	}
 	if stop.Returns {
 		t.Errorf("stop.Returns = true, want false (it only halts)")
 	}
-	main, ok := r.RoutineAt(0)
+	main, ok := routineAt(r, 0)
 	if !ok {
 		t.Fatalf("no routine at addr 0 (main)")
 	}
@@ -111,14 +122,14 @@ helper:
 	jmp r5
 `
 	r := analyzeInter(t, src, analysis.Options{})
-	helper, ok := r.RoutineAt(4)
+	helper, ok := routineAt(r, 4)
 	if !ok {
 		t.Fatalf("no routine at addr 4 (helper)")
 	}
 	if !helper.Returns {
 		t.Errorf("helper.Returns = false, want true (jmp r5 is a return)")
 	}
-	main, _ := r.RoutineAt(0)
+	main, _ := routineAt(r, 0)
 	if main.Size != 4 {
 		t.Errorf("main.Size = %d, want 4 (fall-through included)", main.Size)
 	}
@@ -207,7 +218,7 @@ func TestDeadCallSitesReportNothing(t *testing.T) {
 	if got := diagsWithCode(r, analysis.CodeCalleeRequirement); len(got) != 0 {
 		t.Errorf("RR403 at a dead call site: %v", got)
 	}
-	if _, ok := r.RoutineAt(5); ok {
+	if _, ok := routineAt(r, 5); ok {
 		t.Error("routine at addr 5 entered, though only dead code calls it")
 	}
 	if got := r.InferredRequirement(); got != 6 {
@@ -227,7 +238,7 @@ main:
 	if len(got) != 1 {
 		t.Fatalf("RR404 count = %d, want 1; diags: %v", len(got), r.Diags)
 	}
-	main, _ := r.RoutineAt(0)
+	main, _ := routineAt(r, 0)
 	if !main.Unresolved {
 		t.Errorf("main.Unresolved = false, want true")
 	}
@@ -253,7 +264,7 @@ helper:
 	if n := len(diagsWithCode(r, analysis.CodeUnresolvedCall)); n != 0 {
 		t.Fatalf("unexpected RR404 for resolved jalr: %v", r.Diags)
 	}
-	main, _ := r.RoutineAt(0)
+	main, _ := routineAt(r, 0)
 	if main.Unresolved {
 		t.Errorf("main.Unresolved = true, want false")
 	}
@@ -277,7 +288,7 @@ next:
 	halt
 `
 	r := analyzeInter(t, src, analysis.Options{})
-	main, _ := r.RoutineAt(0)
+	main, _ := routineAt(r, 0)
 	if main.Returns {
 		t.Errorf("main.Returns = true, want false (resolved jmp is not a return)")
 	}

@@ -57,15 +57,3 @@ func ResidentContexts(fileSize int, avgCtxRegs float64) float64 {
 	}
 	return float64(fileSize) / avgCtxRegs
 }
-
-// Speedup predicts the efficiency ratio of an architecture holding
-// nFlex resident contexts over one holding nFixed, at the same R, L, S.
-// Both are capped at saturation, reproducing the paper's observation
-// that gains appear below the saturation point and vanish above it.
-func (p Params) Speedup(nFlex, nFixed float64) float64 {
-	fixed := p.Efficiency(nFixed)
-	if fixed == 0 {
-		return math.Inf(1)
-	}
-	return p.Efficiency(nFlex) / fixed
-}

@@ -79,13 +79,13 @@ func TestSpeedupFactorOfTwoRegime(t *testing.T) {
 	// regime the speedup is exactly nFlex/nFixed; homogeneous C=8 on
 	// F=128 gives 16 vs 4 contexts, capped by saturation.
 	p := NewParams(16, 1000, 8) // deep in the linear regime
-	got := p.Speedup(16, 4)
+	got := p.Efficiency(16) / p.Efficiency(4)
 	if math.Abs(got-4) > 1e-9 {
 		t.Errorf("speedup = %g want 4 (both linear)", got)
 	}
 	// With L small, both saturate and the gain vanishes.
 	p2 := NewParams(128, 16, 8)
-	if got := p2.Speedup(16, 4); math.Abs(got-1) > 1e-9 {
+	if got := p2.Efficiency(16) / p2.Efficiency(4); math.Abs(got-1) > 1e-9 {
 		t.Errorf("saturated speedup = %g want 1", got)
 	}
 }

@@ -16,7 +16,7 @@ func Example() {
 	fmt.Printf("N* = %.1f contexts to saturate\n", p.SaturationPoint())
 	fmt.Printf("fixed:    E(%g) = %.2f\n", fixed, p.Efficiency(fixed))
 	fmt.Printf("flexible: E(%g) = %.2f\n", flexible, p.Efficiency(flexible))
-	fmt.Printf("speedup:  %.1fx\n", p.Speedup(flexible, fixed))
+	fmt.Printf("speedup:  %.1fx\n", p.Efficiency(flexible)/p.Efficiency(fixed))
 	// Output:
 	// N* = 13.8 contexts to saturate
 	// fixed:    E(4) = 0.23

@@ -62,6 +62,10 @@ func (p *Program) IsPadding(addr int) bool {
 		addr >= 0 && addr < len(p.Source) && p.Source[addr] == 0
 }
 
+// MaxWords is the size of the machine's memory in words, and so of the
+// largest image: an .org or a statement past it is an assembly error.
+const MaxWords = 1 << 16
+
 // Error is an assembly error with source position.
 type Error struct {
 	Line int
@@ -151,6 +155,9 @@ func Assemble(src string) (*Program, error) {
 		default:
 			stmts = append(stmts, stmt{line: lineNo + 1, addr: loc, op: op, args: args})
 			loc++
+		}
+		if loc > MaxWords {
+			return nil, &Error{lineNo + 1, fmt.Sprintf("image passes the %d-word memory", MaxWords)}
 		}
 	}
 

@@ -1,6 +1,9 @@
 package asm
 
 import (
+	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -359,5 +362,29 @@ func TestNegativeOrgAndForwardOrg(t *testing.T) {
 	p := MustAssemble("nop\n.org 8\nhalt")
 	if len(p.Words) != 9 {
 		t.Errorf("padded length = %d", len(p.Words))
+	}
+}
+
+func TestOrgPastMemoryIsAnError(t *testing.T) {
+	// An .org past the machine's memory names its line and builds no
+	// image: assembling it allocates far less than the 1e6-word image.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Assemble(".org 1000000\nhalt\n")
+	runtime.ReadMemStats(&after)
+	var aerr *Error
+	if !errors.As(err, &aerr) || aerr.Line != 1 {
+		t.Errorf("err = %v, want an asm error on line 1", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("assembling allocated %d bytes, want under 1 MB", got)
+	}
+	// The image may fill memory exactly, but no statement may pass it.
+	if _, err := Assemble(fmt.Sprintf(".org %d\nhalt\n", MaxWords-1)); err != nil {
+		t.Errorf("image of exactly MaxWords words: %v", err)
+	}
+	_, err = Assemble(fmt.Sprintf("nop\n.org %d\nhalt\n", MaxWords))
+	if !errors.As(err, &aerr) || aerr.Line != 3 {
+		t.Errorf("err = %v, want an asm error on line 3", err)
 	}
 }

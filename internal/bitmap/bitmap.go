@@ -148,13 +148,6 @@ func (w Word) ClearBlock(chunk, blockChunks int) Word {
 	return w &^ Word(blockMaskAt(blockChunks)<<uint(chunk))
 }
 
-// BlockFree reports whether the blockChunks chunks starting at chunk
-// are all free.
-func (w Word) BlockFree(chunk, blockChunks int) bool {
-	m := Word(blockMaskAt(blockChunks) << uint(chunk))
-	return w&m == m
-}
-
 // Full returns a word with the low totalChunks bits set (an entirely
 // free register file).
 func Full(totalChunks int) Word {

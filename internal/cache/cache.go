@@ -65,9 +65,6 @@ func New(totalWords, ways, lineWords int) *Cache {
 	return c
 }
 
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
-
 // index splits a word address into its set and tag.
 func (c *Cache) index(addr uint64) (set int, tag uint64) {
 	line := addr >> c.lineShift

@@ -8,8 +8,8 @@ import (
 
 func TestCacheBasics(t *testing.T) {
 	c := New(64, 1, 4) // direct-mapped, 16 lines
-	if c.Sets() != 16 {
-		t.Fatalf("sets = %d", c.Sets())
+	if c.sets != 16 {
+		t.Fatalf("sets = %d", c.sets)
 	}
 	if c.Access(0) {
 		t.Error("cold access hit")
@@ -38,7 +38,7 @@ func TestIndexMatchesDivision(t *testing.T) {
 		{64, 1, 4}, {64, 2, 4}, {4096, 2, 4}, {4096, 4, 8}, {1 << 14, 1, 1}, {256, 64, 4},
 	} {
 		c := New(g.words, g.ways, g.line)
-		sets := uint64(c.Sets())
+		sets := uint64(c.sets)
 		for i := 0; i < 10000; i++ {
 			addr := src.Uint64() >> uint(src.Intn(64))
 			line := addr / uint64(g.line)

@@ -313,9 +313,6 @@ func (c *Client) healthyNow() []member {
 	return c.healthy
 }
 
-// HealthyCount returns how many workers are currently healthy.
-func (c *Client) HealthyCount() int { return len(c.healthyNow()) }
-
 // WorkerCount returns how many workers are configured.
 func (c *Client) WorkerCount() int { return len(c.order) }
 

@@ -1,7 +1,6 @@
 // Package compiler implements the compiler support the paper requires
 // (Section 2.4): determining the number of registers each thread needs
-// by traversing its call graph, merging separately compiled
-// requirements at link time, and advising on the register/context-size
+// by traversing its call graph, and advising on the register/context-size
 // tradeoff — whether the marginal benefit of an extra register is
 // worth doubling the context size (the paper's 17-versus-16 example).
 // The other half of Section 2.4, checking a thread's assembled code
@@ -121,23 +120,6 @@ func (g *CallGraph) ThreadRegisters(entry string, reserved int) (int, error) {
 		return 0, err
 	}
 	return n + reserved, nil
-}
-
-// LinkRequirements merges per-module register requirements for the
-// same thread entry (separate compilation, Section 2.4: "the compiler
-// will need to provide this information to the linker"): the linked
-// requirement is the maximum.
-func LinkRequirements(reqs ...int) int {
-	max := 0
-	for _, r := range reqs {
-		if r < 0 {
-			panic("compiler: negative requirement")
-		}
-		if r > max {
-			max = r
-		}
-	}
-	return max
 }
 
 // MarginalBenefit models the diminishing per-thread speedup of extra

@@ -158,21 +158,6 @@ func TestAddPanics(t *testing.T) {
 	}
 }
 
-func TestLinkRequirements(t *testing.T) {
-	if LinkRequirements(12, 17, 9) != 17 {
-		t.Error("link max wrong")
-	}
-	if LinkRequirements() != 0 {
-		t.Error("empty link")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("negative requirement accepted")
-		}
-	}()
-	LinkRequirements(-1)
-}
-
 func TestMarginalBenefitShape(t *testing.T) {
 	mb := MarginalBenefit{}
 	// Monotone nondecreasing, diminishing, calibrated at the cited

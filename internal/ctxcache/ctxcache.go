@@ -86,17 +86,6 @@ func (c *Cache) Touch(thread, reg int) int {
 	return victim
 }
 
-// Resident returns how many bindings of the given thread are resident.
-func (c *Cache) Resident(thread int) int {
-	n := 0
-	for p := 0; p < c.size; p++ {
-		if c.valid[p] && c.names[p].thread == thread {
-			n++
-		}
-	}
-	return n
-}
-
 // Stats returns (hits, fills, spills).
 func (c *Cache) Stats() (hits, fills, spills int64) { return c.hits, c.fills, c.spills }
 

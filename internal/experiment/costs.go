@@ -8,13 +8,13 @@ import (
 	"regreloc/internal/machine"
 )
 
-// MeasureContextSwitch runs the Figure 3 yield routine on the
-// instruction-level machine with two ping-ponging threads and returns
-// the measured per-switch cost in cycles (the paper claims 4-6).
-func MeasureContextSwitch() (float64, error) {
-	m := machine.New(machine.Config{Registers: 128})
-	k := kernel.New(m, alloc.NewBitmap(128, 64, alloc.FlexibleCosts))
-	if _, err := k.LoadUser(`
+// harnessCtx is the context size the measurement harnesses spawn their
+// threads in, and so the size the loader checks their code against.
+const harnessCtx = 8
+
+// switchHarness is MeasureContextSwitch's thread code: two threads
+// that each count in r4 and yield through the Figure 3 routine.
+const switchHarness = `
 	threadA:
 		addi r4, r4, 1
 		jal r0, yield
@@ -23,14 +23,22 @@ func MeasureContextSwitch() (float64, error) {
 		addi r4, r4, 1
 		jal r0, yield
 		beq r0, r0, threadB
-	`); err != nil {
+	`
+
+// MeasureContextSwitch runs the Figure 3 yield routine on the
+// instruction-level machine with two ping-ponging threads and returns
+// the measured per-switch cost in cycles (the paper claims 4-6).
+func MeasureContextSwitch() (float64, error) {
+	m := machine.New(machine.Config{Registers: 128})
+	k := kernel.New(m, alloc.NewBitmap(128, 64, alloc.FlexibleCosts))
+	if _, err := k.LoadUserChecked(switchHarness, harnessCtx); err != nil {
 		return 0, err
 	}
-	a, err := k.Spawn("A", k.Runtime.Symbols["threadA"], 8)
+	a, err := k.Spawn("A", k.Runtime.Symbols["threadA"], harnessCtx)
 	if err != nil {
 		return 0, err
 	}
-	b, err := k.Spawn("B", k.Runtime.Symbols["threadB"], 8)
+	b, err := k.Spawn("B", k.Runtime.Symbols["threadB"], harnessCtx)
 	if err != nil {
 		return 0, err
 	}
@@ -48,17 +56,14 @@ func MeasureContextSwitch() (float64, error) {
 	return perIter - 2, nil // subtract the addi and beq thread work
 }
 
-// MeasureUnload runs the Section 2.5 unload routine for an n-register
-// context on the machine and returns the total cycles from the
-// scheduler initiating the unload to control returning to it.
-func MeasureUnload(n int) (int64, error) {
-	m := machine.New(machine.Config{Registers: 128})
-	k := kernel.New(m, alloc.NewBitmap(128, 64, alloc.FlexibleCosts))
-	victim, err := k.Spawn("victim", 0, n)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := k.LoadUser(fmt.Sprintf(`
+// unloadSizes are the context sizes Figure 4's unload is measured at.
+var unloadSizes = []int{8, 16, 32}
+
+// unloadHarness is MeasureUnload's scheduler code: it unloads the
+// n-register context at victimRRM through the Section 2.5 routine,
+// which returns to schedret.
+func unloadHarness(victimRRM, n int) string {
+	return fmt.Sprintf(`
 	sched:
 		rdrrm r6
 		movi r4, %d
@@ -69,10 +74,23 @@ func MeasureUnload(n int) (int64, error) {
 		beq r4, r4, unload_entry_%d
 	schedret:
 		halt
-	`, kernel.GlobalSchedRRM, victim.Ctx.RRM(), n)); err != nil {
+	`, kernel.GlobalSchedRRM, victimRRM, n)
+}
+
+// MeasureUnload runs the Section 2.5 unload routine for an n-register
+// context on the machine and returns the total cycles from the
+// scheduler initiating the unload to control returning to it.
+func MeasureUnload(n int) (int64, error) {
+	m := machine.New(machine.Config{Registers: 128})
+	k := kernel.New(m, alloc.NewBitmap(128, 64, alloc.FlexibleCosts))
+	victim, err := k.Spawn("victim", 0, n)
+	if err != nil {
 		return 0, err
 	}
-	sched, err := k.Spawn("sched", k.Runtime.Symbols["sched"], 8)
+	if _, err := k.LoadUserChecked(unloadHarness(victim.Ctx.RRM(), n), harnessCtx); err != nil {
+		return 0, err
+	}
+	sched, err := k.Spawn("sched", k.Runtime.Symbols["sched"], harnessCtx)
 	if err != nil {
 		return 0, err
 	}
@@ -125,13 +143,12 @@ func init() {
 			)
 			// Deterministic machine executions (no RNG); run the context
 			// sizes concurrently and assemble notes/points in size order.
-			sizes := []int{8, 16, 32}
-			cycles := make([]int64, len(sizes))
-			errs := make([]error, len(sizes))
-			r.Err = scale.forEach(len(sizes), func(i int) {
-				cycles[i], errs[i] = MeasureUnload(sizes[i])
+			cycles := make([]int64, len(unloadSizes))
+			errs := make([]error, len(unloadSizes))
+			r.Err = scale.forEach(len(unloadSizes), func(i int) {
+				cycles[i], errs[i] = MeasureUnload(unloadSizes[i])
 			})
-			for i, n := range sizes {
+			for i, n := range unloadSizes {
 				if errs[i] != nil {
 					r.Notes = append(r.Notes, fmt.Sprintf("unload C=%d: measurement failed: %v", n, errs[i]))
 					continue

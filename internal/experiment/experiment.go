@@ -179,16 +179,6 @@ func (r *Report) PanelPoints(panel string) []Measurement {
 	return out
 }
 
-// Find returns the measurement for (panel, arch, R, L), or ok=false.
-func (r *Report) Find(panel, arch string, rl, lat int) (Measurement, bool) {
-	for _, p := range r.Points {
-		if p.Panel == panel && p.Arch == arch && p.R == rl && p.L == lat {
-			return p, true
-		}
-	}
-	return Measurement{}, false
-}
-
 // Grids optionally overrides a sweep experiment's parameter grids —
 // register file sizes F, run lengths R, and latencies L. A nil slice
 // keeps the experiment's published default for that axis. Grid order

@@ -41,6 +41,9 @@ func runManaged(src string, threads, iters int, maxCycles int64) (float64, error
 	return float64(useful) / float64(cycles), nil
 }
 
+// managedLats are the fault latencies managed-isa sweeps.
+var managedLats = []int{25, 50, 100, 200, 400, 800}
+
 func init() {
 	register(Experiment{
 		ID:    "managed-isa",
@@ -67,13 +70,12 @@ func init() {
 			// Each latency point is a full machine execution, deterministic
 			// given (latency, iters) — no RNG — so the points parallelize
 			// without seed derivation.
-			lats := []int{25, 50, 100, 200, 400, 800}
-			effs := make([]float64, len(lats))
-			errs := make([]error, len(lats))
-			r.Err = scale.forEach(len(lats), func(i int) {
-				effs[i], errs[i] = runManaged(kernel.WorkerSourceLatency(lats[i]), 10, iters, 10_000_000)
+			effs := make([]float64, len(managedLats))
+			errs := make([]error, len(managedLats))
+			r.Err = scale.forEach(len(managedLats), func(i int) {
+				effs[i], errs[i] = runManaged(kernel.WorkerSourceLatency(managedLats[i]), 10, iters, 10_000_000)
 			})
-			for i, lat := range lats {
+			for i, lat := range managedLats {
 				if errs[i] != nil {
 					r.Notes = append(r.Notes, fmt.Sprintf("L=%d failed: %v", lat, errs[i]))
 					continue

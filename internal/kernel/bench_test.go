@@ -78,14 +78,14 @@ func BenchmarkYieldRoundTrip(b *testing.B) {
 func benchSwitchMachine() (*Kernel, error) {
 	k := New(machine.New(machine.Config{Registers: 128}),
 		alloc.NewBitmap(128, 64, alloc.FlexibleCosts))
-	if _, err := k.LoadUser(`
+	if _, err := k.LoadUserChecked(`
 	threadA:
 		jal r0, yield
 		beq r0, r0, threadA
 	threadB:
 		jal r0, yield
 		beq r0, r0, threadB
-	`); err != nil {
+	`, 8); err != nil {
 		return nil, err
 	}
 	if _, err := k.Spawn("A", k.Runtime.Symbols["threadA"], 8); err != nil {

@@ -14,7 +14,7 @@ import (
 func Example() {
 	m := machine.New(machine.Config{Registers: 128})
 	k := kernel.New(m, alloc.NewBitmap(128, 64, alloc.FlexibleCosts))
-	_, err := k.LoadUser(`
+	_, err := k.LoadUserChecked(`
 	threadA:
 		addi r4, r4, 1
 		jal r0, yield
@@ -23,7 +23,7 @@ func Example() {
 		addi r4, r4, 2
 		jal r0, yield
 		beq r0, r0, threadB
-	`)
+	`, 8)
 	if err != nil {
 		panic(err)
 	}

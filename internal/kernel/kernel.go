@@ -190,24 +190,29 @@ func newUserPrefix(parts ...string) userPrefix {
 	return userPrefix{text: text, lines: strings.Count(text, "\n")}
 }
 
-// runtimePrefix is what LoadUser assembles in front of user code,
-// built on first use.
+// runtimePrefix is what LoadUserChecked assembles in front of user
+// code, built on first use.
 var runtimePrefix = sync.OnceValue(func() userPrefix { return newUserPrefix(RuntimeSource()) })
 
-// assemble assembles src at UserBase behind the prefix.
-func (p userPrefix) assemble(src string) (*asm.Program, error) {
-	prog, err := asm.Assemble(p.text + src)
-	return prog, p.rebase(err)
-}
-
-// analyze assembles src behind the prefix and analyzes the user region
-// (from UserBase on), honoring the user's lint:ignore directives.
-func (p userPrefix) analyze(src string, opts analysis.Options) (*analysis.Result, error) {
-	opts.Start = UserBase
-	res, err := analysis.AnalyzeSource(p.text+src, opts)
+// analyze assembles src at UserBase behind the prefix and runs the
+// interprocedural analyzer with opts over the user region (from
+// UserBase on), honoring the user's lint:ignore directives. It returns
+// the combined image with the result; errors and diagnostics name
+// lines of src.
+func (p userPrefix) analyze(src string, opts analysis.Options) (*asm.Program, *analysis.Result, error) {
+	text := p.text + src
+	prog, err := asm.Assemble(text)
 	if err != nil {
-		return nil, p.rebase(err)
+		var aerr *asm.Error
+		if errors.As(err, &aerr) && aerr.Line > p.lines {
+			err = &asm.Error{Line: aerr.Line - p.lines, Msg: aerr.Msg}
+		}
+		return nil, nil, err
 	}
+	opts.Start = UserBase
+	opts.Suppress = analysis.ParseSuppressions(text)
+	opts.Interprocedural = true
+	res := analysis.Analyze(prog, opts)
 	// Suppressions have matched combined lines by now.
 	for _, ds := range [][]analysis.Diagnostic{res.Diags, res.Suppressed} {
 		for i := range ds {
@@ -216,72 +221,67 @@ func (p userPrefix) analyze(src string, opts analysis.Options) (*analysis.Result
 			}
 		}
 	}
-	return res, nil
+	return prog, res, nil
 }
 
-// rebase moves an assembly error from a combined line to the user's.
-func (p userPrefix) rebase(err error) error {
-	var aerr *asm.Error
-	if errors.As(err, &aerr) && aerr.Line > p.lines {
-		return &asm.Error{Line: aerr.Line - p.lines, Msg: aerr.Msg}
-	}
-	return err
-}
-
-// LoadUser assembles user (thread) code together with the runtime so
-// that user code can reference the runtime symbols (yield, load_entry_n,
-// unload_entry_n) directly — e.g. "jal r0, yield" for the Figure 3
-// switch. The user source is placed at UserBase; the combined image
-// replaces the runtime image and symbol table. An assembly error names
-// a line of src.
-func (k *Kernel) LoadUser(src string) (*asm.Program, error) {
-	combined, err := runtimePrefix().assemble(src)
+// load is paper Section 2.4's load-time check, the one rule every
+// load of user code passes. src is assembled behind the prefix and
+// rejected when the requirement InferUserRequirement infers exceeds
+// opts.ContextSize, so code is never too big for the size the loader
+// infers, or when any error-severity diagnostic other than an
+// out-of-context operand is found: control flow into data, a branch or
+// call into an LDRRM delay slot, an unaligned relocation mask. An
+// out-of-context operand left after the size check is on code the
+// interprocedural analysis proves dead. It returns the combined image.
+func (p userPrefix) load(src string, opts analysis.Options) (*asm.Program, error) {
+	prog, res, err := p.analyze(src, opts)
 	if err != nil {
 		return nil, err
 	}
-	k.M.Load(combined, 0)
-	k.Runtime = combined
-	return combined, nil
-}
-
-// LoadUserChecked is LoadUser with the static analyzer applied to the
-// user region first (paper Section 2.4's load-time check). The program
-// is rejected when the requirement InferUserRequirement infers exceeds
-// ctxSize, so code is never too big for the size the loader infers, or
-// when any error-severity diagnostic other than an out-of-context
-// operand is found: control flow into data, a branch or call into an
-// LDRRM delay slot, an unaligned relocation mask. An out-of-context
-// operand left after the size check is on code the interprocedural
-// analysis proves dead. lint:ignore directives in the user source
-// suppress intentional hazards; errors and diagnostics name lines of
-// src.
-func (k *Kernel) LoadUserChecked(src string, ctxSize int) (*asm.Program, error) {
-	res, err := k.analyzeUser(src, ctxSize)
-	if err != nil {
-		return nil, err
-	}
-	if req := res.InferredRequirement(); req > ctxSize {
-		return nil, fmt.Errorf("kernel: user code requires %d registers but the context holds %d",
-			req, ctxSize)
+	if req := res.InferredRequirement(); req > opts.ContextSize {
+		where := ""
+		for _, d := range res.Diags {
+			if d.Code == analysis.CodeOutOfContext {
+				where = fmt.Sprintf(", first outside it at %s", d)
+				break
+			}
+		}
+		return nil, fmt.Errorf("kernel: user code requires %d registers but the context holds %d%s",
+			req, opts.ContextSize, where)
 	}
 	for _, d := range res.Diags {
 		if d.Severity == analysis.Error && d.Code != analysis.CodeOutOfContext {
 			return nil, fmt.Errorf("kernel: user code rejected: %s", d)
 		}
 	}
-	return k.LoadUser(src)
+	return prog, nil
 }
 
-// analyzeUser runs the interprocedural analyzer over the user region
-// of the combined runtime+user image, with the machine's relocation
-// configuration applied.
-func (k *Kernel) analyzeUser(src string, ctxSize int) (*analysis.Result, error) {
-	return runtimePrefix().analyze(src, analysis.Options{
-		ContextSize:     ctxSize,
-		MultiRRM:        k.M.Config().MultiRRM,
-		DelaySlots:      k.M.Config().LDRRMDelaySlots,
-		Interprocedural: true,
-	})
+// userOptions are the analyzer options for user code in a
+// ctxSize-register context on k's machine: its relocation settings
+// decide how operands decode.
+func (k *Kernel) userOptions(ctxSize int) analysis.Options {
+	cfg := k.M.Config()
+	return analysis.Options{ContextSize: ctxSize, MultiRRM: cfg.MultiRRM, DelaySlots: cfg.LDRRMDelaySlots}
+}
+
+// LoadUserChecked loads user (thread) code for threads of ctxSize
+// registers, assembled together with the runtime so that it can name
+// the runtime symbols (yield, load_entry_n, unload_entry_n) directly,
+// e.g. "jal r0, yield" for the Figure 3 switch. The code must pass the
+// loader's check first (paper Section 2.4; see userPrefix.load). The
+// user source is placed at UserBase; the combined image replaces the
+// runtime image and symbol table. lint:ignore directives in the user
+// source suppress intentional hazards; errors and diagnostics name
+// lines of src.
+func (k *Kernel) LoadUserChecked(src string, ctxSize int) (*asm.Program, error) {
+	prog, err := runtimePrefix().load(src, k.userOptions(ctxSize))
+	if err != nil {
+		return nil, err
+	}
+	k.M.Load(prog, 0)
+	k.Runtime = prog
+	return prog, nil
 }
 
 // InferUserRequirement returns the interprocedural register
@@ -289,7 +289,7 @@ func (k *Kernel) analyzeUser(src string, ctxSize int) (*analysis.Result, error) 
 // sufficient, never below NumReserved since the runtime reads R0-R3
 // behind the thread's back.
 func (k *Kernel) InferUserRequirement(src string) (int, error) {
-	res, err := k.analyzeUser(src, 0)
+	_, res, err := runtimePrefix().analyze(src, k.userOptions(0))
 	if err != nil {
 		return 0, err
 	}
@@ -302,28 +302,6 @@ func (k *Kernel) InferUserRequirement(src string) (int, error) {
 
 // YieldAddr returns the address of the yield routine.
 func (k *Kernel) YieldAddr() int { return k.Runtime.Symbols["yield"] }
-
-// UnloadEntry returns the unload entry point for an n-register context.
-func (k *Kernel) UnloadEntry(n int) int {
-	return k.symbol(fmt.Sprintf("unload_entry_%d", n))
-}
-
-// LoadEntry returns the load entry point for an n-register context.
-func (k *Kernel) LoadEntry(n int) int {
-	return k.symbol(fmt.Sprintf("load_entry_%d", n))
-}
-
-// LoadPrologue returns the address of the load routine's pointer-
-// materializing prologue.
-func (k *Kernel) LoadPrologue() int { return k.symbol("load") }
-
-func (k *Kernel) symbol(name string) int {
-	addr, ok := k.Runtime.Symbols[name]
-	if !ok {
-		panic(fmt.Sprintf("kernel: missing runtime symbol %q", name))
-	}
-	return addr
-}
 
 // Spawn allocates a context for a thread requiring regs registers,
 // whose code starts at entryPC, and initializes its resident state
@@ -374,22 +352,6 @@ func (k *Kernel) LinkOrder(order []*Thread) {
 	for i, t := range order {
 		next := order[(i+1)%n]
 		k.M.RF.Write(t.Ctx.Base+RegNextRRM, uint32(next.Ctx.RRM()))
-	}
-}
-
-// EnableFaultTrap makes FAULT instructions vector through the yield
-// routine automatically: the trap saves the resume PC into the current
-// context's R0 (exactly what the explicit "jal r0, yield" does) and
-// redirects to yield. This is the paper's implicit-fault variant of
-// Figure 3.
-func (k *Kernel) EnableFaultTrap() {
-	yield := k.YieldAddr()
-	k.M.FaultTrap = func(uint32) (int, bool) {
-		rrm := k.M.RF.RRM()
-		// Context-relative R0 of the active context is absolute
-		// register rrm|0 = rrm.
-		k.M.RF.Write(rrm+RegPC, uint32(k.M.PC+1))
-		return yield, true
 	}
 }
 

@@ -23,15 +23,22 @@ func TestRuntimeAssembles(t *testing.T) {
 	}
 	// Entry points exist for every context size 1..64 and are spaced
 	// one instruction apart in the interesting range.
+	entry := func(kind string, n int) int {
+		addr, ok := k.Runtime.Symbols[fmt.Sprintf("%s_entry_%d", kind, n)]
+		if !ok {
+			t.Fatalf("runtime missing %s_entry_%d", kind, n)
+		}
+		return addr
+	}
 	for n := 1; n <= 64; n++ {
-		k.UnloadEntry(n)
-		k.LoadEntry(n)
+		entry("unload", n)
+		entry("load", n)
 	}
 	for n := NumReserved + 1; n < 64; n++ {
-		if k.UnloadEntry(n+1) != k.UnloadEntry(n)-1 {
+		if entry("unload", n+1) != entry("unload", n)-1 {
 			t.Errorf("unload entries %d/%d not adjacent", n, n+1)
 		}
-		if k.LoadEntry(n+1) != k.LoadEntry(n)-1 {
+		if entry("load", n+1) != entry("load", n)-1 {
 			t.Errorf("load entries %d/%d not adjacent", n, n+1)
 		}
 	}
@@ -42,7 +49,7 @@ func TestFigure3ContextSwitchCost(t *testing.T) {
 	// switch takes "approximately 4 to 6 RISC cycles"; ours is 5 (jal +
 	// ldrrm + delay-slot mfpsw + mtpsw + jmp).
 	k := newKernel(t)
-	_, err := k.LoadUser(`
+	_, err := k.LoadUserChecked(`
 	threadA:
 		addi r4, r4, 1
 		jal r0, yield
@@ -51,7 +58,7 @@ func TestFigure3ContextSwitchCost(t *testing.T) {
 		addi r4, r4, 1
 		jal r0, yield
 		beq r0, r0, threadB
-	`)
+	`, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +108,7 @@ func TestRoundRobinIsolation(t *testing.T) {
 		beq r0, r0, thread%d
 	`, i, i+1, i)
 	}
-	if _, err := k.LoadUser(src); err != nil {
+	if _, err := k.LoadUserChecked(src, 6); err != nil {
 		t.Fatal(err)
 	}
 	sizes := []int{6, 12, 20, 8}
@@ -156,7 +163,7 @@ func TestUnloadRoutine(t *testing.T) {
 			k.M.RF.Write(victim.Ctx.Base+r, uint32(1000+r))
 		}
 	}
-	if _, err := k.LoadUser(schedulerUnloadSource(victim.Ctx.RRM(), 8)); err != nil {
+	if _, err := k.LoadUserChecked(schedulerUnloadSource(victim.Ctx.RRM(), 8), 8); err != nil {
 		t.Fatal(err)
 	}
 	sched, err := k.Spawn("sched", k.Runtime.Symbols["sched"], 8)
@@ -196,7 +203,7 @@ func TestUnloadCostScalesWithRegisters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := k.LoadUser(schedulerUnloadSource(victim.Ctx.RRM(), n)); err != nil {
+		if _, err := k.LoadUserChecked(schedulerUnloadSource(victim.Ctx.RRM(), n), 8); err != nil {
 			t.Fatal(err)
 		}
 		sched, err := k.Spawn("sched", k.Runtime.Symbols["sched"], 8)
@@ -225,7 +232,7 @@ func TestLoadRoutine(t *testing.T) {
 	k := newKernel(t)
 	// Thread Y will be loaded from a prepared save area; its code just
 	// records a marker and halts.
-	if _, err := k.LoadUser(fmt.Sprintf(`
+	if _, err := k.LoadUserChecked(fmt.Sprintf(`
 	resume:
 		addi r5, r5, 1
 		halt
@@ -240,7 +247,7 @@ func TestLoadRoutine(t *testing.T) {
 		movi r7, load
 		ldrrm r6
 		jmp r7             ; delay slot: jump target from OUR r7
-	`, GlobalLoadPtr, GlobalLoadEntry)); err != nil {
+	`, GlobalLoadPtr, GlobalLoadEntry), 8); err != nil {
 		t.Fatal(err)
 	}
 	resumePC := k.Runtime.Symbols["resume"]

@@ -106,11 +106,13 @@ func TestLoadUserCheckedCountsEveryExecutedPath(t *testing.T) {
 }
 
 func TestLoadUserReportsUserLines(t *testing.T) {
+	// A size rejection names the user's line of the first operand
+	// outside the context.
 	k := newKernel(t)
-	_, err := k.LoadUser("user:\nmovi r4, 1\nbogus r1\nhalt\n")
-	var aerr *asm.Error
-	if !errors.As(err, &aerr) || aerr.Line != 3 {
-		t.Errorf("err = %v, want an asm error at the user's line 3", err)
+	_, err := k.LoadUserChecked("user:\nmovi r4, 1\nadd r9, r4, r4\nhalt\n", 8)
+	const want = "requires 10 registers but the context holds 8, first outside it at line 3 (addr 1025)"
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("err = %v, want it to contain %q", err, want)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"regreloc/internal/analysis"
 	"regreloc/internal/asm"
 	"regreloc/internal/isa"
 	"regreloc/internal/machine"
@@ -29,7 +30,7 @@ import (
 // Managed-mode constraint: thread contexts are 16 registers (the
 // ctx_alloc16 routine), so user code must stay within r0..r15 — which
 // also keeps every operand's high bit clear under the multiple-RRM
-// decode.
+// decode. NewManager checks this when it builds an image.
 type Manager struct {
 	M   *machine.Machine
 	img *image
@@ -72,9 +73,6 @@ type ManagedThread struct {
 
 // RRM returns the thread's context base while resident.
 func (t *ManagedThread) RRM() int { return t.rrm }
-
-// Finished reports whether the thread completed.
-func (t *ManagedThread) Finished() bool { return t.finished }
 
 // Memory layout for managed mode (word addresses).
 const (
@@ -202,11 +200,19 @@ var managerPrefix = sync.OnceValue(func() userPrefix {
 	return newUserPrefix(RuntimeSource(), AllocASMSource(), managerStubs)
 })
 
-// newImage assembles the combined image: runtime, Appendix A
-// allocator, manager stubs, and the user code at UserBase. An assembly
+// managedOptions are the analyzer options the user code of a managed
+// image is checked with: a thread's context is the 16-register block
+// ctx_alloc16 allocates, and the manager owns RRM1, so the check
+// decodes operands without the Section 5.3 selector (c1.rN is register
+// 32+N, outside the context).
+var managedOptions = analysis.Options{ContextSize: 16}
+
+// newImage builds the combined image: runtime, Appendix A allocator,
+// manager stubs, and the user code at UserBase, which must pass the
+// loader's check (userPrefix.load) for a managed thread's context. An
 // error names a line of userSrc.
 func newImage(userSrc string) (*image, error) {
-	prog, err := managerPrefix().assemble(userSrc)
+	prog, err := managerPrefix().load(userSrc, managedOptions)
 	if err != nil {
 		return nil, err
 	}
@@ -625,12 +631,6 @@ func (mgr *Manager) Run(maxCycles int64) (int64, error) {
 	}
 	return mgr.M.Cycles(), nil
 }
-
-// Resident returns the currently resident threads in admit order.
-func (mgr *Manager) Resident() []*ManagedThread { return mgr.resident }
-
-// Finished returns how many threads have completed.
-func (mgr *Manager) Finished() int { return mgr.finished }
 
 // Symbol resolves a label in the manager's combined image (exported
 // for measurement harnesses).

@@ -3,6 +3,7 @@ package kernel
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"regreloc/internal/asm"
@@ -14,6 +15,27 @@ func TestNewManagerReportsUserLines(t *testing.T) {
 	var aerr *asm.Error
 	if !errors.As(err, &aerr) || aerr.Line != 2 {
 		t.Errorf("err = %v, want an asm error at the user's line 2", err)
+	}
+}
+
+func TestNewManagerChecksUserCode(t *testing.T) {
+	// A managed thread runs in the 16-register context ctx_alloc16
+	// gives it, so a worker that writes r20, or a c1 operand (the
+	// Section 5.3 selector, whose RRM1 the manager owns), is rejected
+	// when the image is built, naming the user's line.
+	for _, c := range []struct{ op, want string }{
+		{"movi r20, 1", "requires 21 registers but the context holds 16, first outside it at line 3"},
+		{"movi c1.r5, 1", "requires 38 registers but the context holds 16, first outside it at line 3"},
+	} {
+		src := "worker:\n\taddi r5, r5, 1\n\t" + c.op + "\n\tfault r6\n\tbeq r0, r0, worker\n"
+		_, err := NewManager(src)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want it to contain %q", c.op, err, c.want)
+		}
+	}
+	_, err := NewManager("worker:\n\tmovi r4, 1\n\t.word 0\n")
+	if err == nil || !strings.Contains(err.Error(), "line 2 (addr 1024): RR102") {
+		t.Errorf("flow into data: err = %v, want RR102 at the user's line 2", err)
 	}
 }
 

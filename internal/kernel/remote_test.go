@@ -17,7 +17,7 @@ func TestRemoteMissYieldsAndRetries(t *testing.T) {
 		RemoteLatency: 200,
 	})
 	k := New(m, alloc.NewBitmap(128, 64, alloc.FlexibleCosts))
-	if _, err := k.LoadUser(`
+	if _, err := k.LoadUserChecked(`
 	threadA:
 		li r5, 30010     ; remote address
 		lw r6, 0(r5)     ; first access misses -> yield; retried on resume
@@ -27,7 +27,7 @@ func TestRemoteMissYieldsAndRetries(t *testing.T) {
 		addi r4, r4, 1
 		jal r0, yield
 		beq r0, r0, threadB
-	`); err != nil {
+	`, 8); err != nil {
 		t.Fatal(err)
 	}
 	m.Mem[30010] = 4141
@@ -69,14 +69,14 @@ func TestRemoteMissCountsOnce(t *testing.T) {
 	}
 	k := New(m, alloc.NewBitmap(128, 64, alloc.FlexibleCosts))
 	_ = k
-	if _, err := k.LoadUser(`
+	if _, err := k.LoadUserChecked(`
 	main:
 		li r5, 30020
 		lw r6, 0(r5)
 		lw r7, 0(r5)   ; second access: data already arrived
 		sw r6, 1(r5)   ; store to a different remote word: new miss
 		halt
-	`); err != nil {
+	`, 8); err != nil {
 		t.Fatal(err)
 	}
 	m.PC = k.Runtime.Symbols["main"]
@@ -92,14 +92,14 @@ func TestLocalMemoryUnaffectedByRemoteConfig(t *testing.T) {
 	m := machine.New(machine.Config{Registers: 128, RemoteBase: 30000})
 	m.OnRemoteMiss = func(int, uint32) (int, bool) { t.Fatal("local access missed"); return 0, false }
 	k := New(m, alloc.NewBitmap(128, 64, alloc.FlexibleCosts))
-	if _, err := k.LoadUser(`
+	if _, err := k.LoadUserChecked(`
 	main:
 		li r5, 20000
 		movi r6, 7
 		sw r6, 0(r5)
 		lw r7, 0(r5)
 		halt
-	`); err != nil {
+	`, 8); err != nil {
 		t.Fatal(err)
 	}
 	m.PC = k.Runtime.Symbols["main"]

@@ -11,6 +11,7 @@ import (
 	"regreloc/internal/asm"
 	"regreloc/internal/isa"
 	"regreloc/internal/machine"
+	"regreloc/internal/regfile"
 	"regreloc/internal/testutil"
 )
 
@@ -74,7 +75,7 @@ func runCell(t *testing.T, m *machine.Machine, src string) cellRun {
 	return cellRun{
 		cycles: cycles, useful: useful,
 		stats: [6]int{mgr.AllocCalls, mgr.DeallocCalls, mgr.Loads, mgr.Unloads, mgr.MgmtPasses, mgr.Faults},
-		mem:   slices.Clone(m.Mem), regs: m.RF.Snapshot(0, m.RF.Size()),
+		mem:   slices.Clone(m.Mem), regs: registers(m.RF, 0, m.RF.Size()),
 	}
 }
 
@@ -216,4 +217,13 @@ func TestImageMemoBound(t *testing.T) {
 	if _, err := memo.get("bogus r1"); err == nil {
 		t.Error("invalid source assembled")
 	}
+}
+
+// registers copies the absolute registers [base, base+n) of f.
+func registers(f *regfile.File, base, n int) []uint32 {
+	out := make([]uint32, n)
+	for i := range out {
+		out[i] = f.Read(base + i)
+	}
+	return out
 }

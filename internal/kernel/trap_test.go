@@ -8,6 +8,22 @@ import (
 	"regreloc/internal/machine"
 )
 
+// enableFaultTrap makes FAULT instructions vector through the yield
+// routine automatically: the trap saves the resume PC into the current
+// context's R0 (exactly what the explicit "jal r0, yield" does) and
+// redirects to yield. This is the paper's implicit-fault variant of
+// Figure 3, which Manager's trap runs in production.
+func enableFaultTrap(k *Kernel) {
+	yield := k.YieldAddr()
+	k.M.FaultTrap = func(uint32) (int, bool) {
+		rrm := k.M.RF.RRM()
+		// Context-relative R0 of the active context is absolute
+		// register rrm|0 = rrm.
+		k.M.RF.Write(rrm+RegPC, uint32(k.M.PC+1))
+		return yield, true
+	}
+}
+
 func TestFaultTrapSwitchesContexts(t *testing.T) {
 	// The paper's implicit variant of Figure 3: "The instruction
 	// labelled fault may be explicit (as shown), or the result of a
@@ -15,7 +31,7 @@ func TestFaultTrapSwitchesContexts(t *testing.T) {
 	// trap vectors through yield without any explicit jal.
 	m := machine.New(machine.Config{Registers: 128})
 	k := New(m, alloc.NewBitmap(128, 64, alloc.FlexibleCosts))
-	if _, err := k.LoadUser(`
+	if _, err := k.LoadUserChecked(`
 	threadA:
 		addi r4, r4, 1
 		movi r5, 100
@@ -26,7 +42,7 @@ func TestFaultTrapSwitchesContexts(t *testing.T) {
 		movi r5, 100
 		fault r5
 		beq r0, r0, threadB
-	`); err != nil {
+	`, 8); err != nil {
 		t.Fatal(err)
 	}
 	a, err := k.Spawn("A", k.Runtime.Symbols["threadA"], 8)
@@ -38,7 +54,7 @@ func TestFaultTrapSwitchesContexts(t *testing.T) {
 		t.Fatal(err)
 	}
 	k.Link()
-	k.EnableFaultTrap()
+	enableFaultTrap(k)
 	k.Start()
 	if err := k.Run(2000); err == nil {
 		t.Fatal("threads halted unexpectedly")
@@ -59,14 +75,14 @@ func TestFaultTrapRecordsLatency(t *testing.T) {
 	k := New(m, alloc.NewBitmap(128, 64, alloc.FlexibleCosts))
 	var latencies []uint32
 	m.OnFault = func(lat uint32) { latencies = append(latencies, lat) }
-	if _, err := k.LoadUser(`
+	if _, err := k.LoadUserChecked(`
 	threadA:
 		movi r5, 321
 		fault r5
 		halt
 	threadB:
 		halt
-	`); err != nil {
+	`, 8); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := k.Spawn("A", k.Runtime.Symbols["threadA"], 8); err != nil {
@@ -76,7 +92,7 @@ func TestFaultTrapRecordsLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	k.Link()
-	k.EnableFaultTrap()
+	enableFaultTrap(k)
 	k.Start()
 	if err := k.Run(100); err != nil {
 		t.Fatal(err)
@@ -96,7 +112,7 @@ func TestLinkOrderCustomSchedule(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		src += fmt.Sprintf("thread%d:\n\taddi r4, r4, 1\n\tjal r0, yield\n\tbeq r0, r0, thread%d\n", i, i)
 	}
-	if _, err := k.LoadUser(src); err != nil {
+	if _, err := k.LoadUserChecked(src, 8); err != nil {
 		t.Fatal(err)
 	}
 	var ths []*Thread

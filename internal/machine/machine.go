@@ -31,7 +31,8 @@ type Config struct {
 	// LDRRMDelaySlots is the number of delay slots after LDRRM/LDRRM2
 	// (default 1, as in the Figure 3 listing).
 	LDRRMDelaySlots int
-	// MemWords is the data/program memory size in words (default 64Ki).
+	// MemWords is the data/program memory size in words (default
+	// asm.MaxWords, 64Ki, the largest image the assembler builds).
 	MemWords int
 	// MultiRRM enables the Section 5.3 multiple-active-context
 	// extension.
@@ -50,7 +51,7 @@ func (c Config) withDefaults() Config {
 		c.Registers = 128
 	}
 	if c.MemWords == 0 {
-		c.MemWords = 1 << 16
+		c.MemWords = asm.MaxWords
 	}
 	if c.LDRRMDelaySlots == 0 {
 		c.LDRRMDelaySlots = 1

@@ -381,13 +381,14 @@ func TestLDRRM2InstallsBothMasks(t *testing.T) {
 	m.Load(asm.MustAssemble(`
 		ldrrm2 r1
 		nop
+		movi c1.r1, 7
 		halt
 	`), 0)
 	if err := m.Run(10); err != nil {
 		t.Fatal(err)
 	}
-	if m.RF.RRM() != 32 || m.RF.RRM1() != 64 {
-		t.Errorf("masks = %d, %d want 32, 64", m.RF.RRM(), m.RF.RRM1())
+	if m.RF.RRM() != 32 || m.RF.Read(64+1) != 7 {
+		t.Errorf("RRM = %d, c1.r1 wrote r65 = %d; want 32, 7", m.RF.RRM(), m.RF.Read(64+1))
 	}
 }
 
@@ -405,7 +406,7 @@ func TestTraceHook(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	// Dirty every piece of state: registers, both masks, memory, PSW,
+	// Dirty every piece of state: registers, the mask, memory, PSW,
 	// a remote arrival, every hook, and an LDRRM still pending because
 	// its delay slot holds the HALT.
 	m := New(Config{RemoteBase: 60000, MultiRRM: true})
@@ -438,8 +439,8 @@ func TestReset(t *testing.T) {
 			t.Errorf("reset left r%d = %d", i, m.RF.Read(i))
 		}
 	}
-	if m.RF.RRM() != 0 || m.RF.RRM1() != 0 || !m.RF.MultiRRM() {
-		t.Errorf("reset left RRM=%d RRM1=%d multiRRM=%v", m.RF.RRM(), m.RF.RRM1(), m.RF.MultiRRM())
+	if m.RF.RRM() != 0 || !m.RF.MultiRRM() {
+		t.Errorf("reset left RRM=%d multiRRM=%v", m.RF.RRM(), m.RF.MultiRRM())
 	}
 	for a, w := range m.Mem {
 		if w != 0 {

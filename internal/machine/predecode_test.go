@@ -24,7 +24,7 @@ type outcome struct {
 
 func outcomeOf(m *Machine, err error) outcome {
 	o := outcome{
-		regs: m.RF.Snapshot(0, m.RF.Size()), mem: slices.Clone(m.Mem),
+		regs: registers(m.RF, 0, m.RF.Size()), mem: slices.Clone(m.Mem),
 		pc: m.PC, cycles: m.Cycles(), halted: m.Halted(),
 	}
 	if err != nil {
@@ -315,4 +315,13 @@ func FuzzMachineStep(f *testing.F) {
 			t.Fatalf("reset machine: %s", d)
 		}
 	})
+}
+
+// registers copies the absolute registers [base, base+n) of f.
+func registers(f *regfile.File, base, n int) []uint32 {
+	out := make([]uint32, n)
+	for i := range out {
+		out[i] = f.Read(base + i)
+	}
+	return out
 }

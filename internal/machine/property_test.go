@@ -132,7 +132,7 @@ func TestRelocationTransparencyAcrossModes(t *testing.T) {
 			if err := m.Run(10000); err != nil {
 				t.Fatalf("trial %d mode %s: %v", trial, mode.name, err)
 			}
-			results[mode.name] = m.RF.Snapshot(rrm, ctxSize)
+			results[mode.name] = registers(m.RF, rrm, ctxSize)
 		}
 		for name, snap := range results {
 			for r, v := range snap {

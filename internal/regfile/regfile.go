@@ -140,9 +140,6 @@ func (f *File) SetRRM2(packed int) {
 	f.rrm[1] = (packed >> uint(bits)) & (1<<uint(bits) - 1)
 }
 
-// RRM1 returns the secondary relocation mask.
-func (f *File) RRM1() int { return f.rrm[1] }
-
 // SetMultiRRM enables or disables the Section 5.3 multiple-active-
 // context extension. When enabled, operand bit OperandBits-1 selects
 // RRM1 and the remaining low bits are the context-relative number.
@@ -221,17 +218,4 @@ func (f *File) WriteRel(operand, operandBits int, v uint32) error {
 	}
 	f.regs[abs] = v
 	return nil
-}
-
-// Snapshot copies registers [base, base+n) — used by context
-// load/unload routines and tests.
-func (f *File) Snapshot(base, n int) []uint32 {
-	out := make([]uint32, n)
-	copy(out, f.regs[base:base+n])
-	return out
-}
-
-// Restore writes vals into registers starting at base.
-func (f *File) Restore(base int, vals []uint32) {
-	copy(f.regs[base:base+len(vals)], vals)
 }

@@ -174,8 +174,8 @@ func TestMultiRRMSelectsSecondContext(t *testing.T) {
 	// RRM0 = context at 32 (size 16), RRM1 = context at 64.
 	bits := f.RRMBits()
 	f.SetRRM2(32 | 64<<uint(bits))
-	if f.RRM() != 32 || f.RRM1() != 64 {
-		t.Fatalf("masks = %d, %d", f.RRM(), f.RRM1())
+	if f.RRM() != 32 || f.rrm[1] != 64 {
+		t.Fatalf("masks = %d, %d", f.RRM(), f.rrm[1])
 	}
 	// Operand 6 (high bit clear) -> RRM0: register 38.
 	abs, _ := f.Relocate(6, isa.OperandBits)
@@ -231,23 +231,6 @@ func TestReadWriteRel(t *testing.T) {
 	v, err := f.ReadRel(5, isa.OperandBits)
 	if err != nil || v != 99 {
 		t.Errorf("ReadRel = %d, %v", v, err)
-	}
-}
-
-func TestSnapshotRestore(t *testing.T) {
-	f := New(128, ModeOR)
-	for i := 0; i < 8; i++ {
-		f.Write(40+i, uint32(100+i))
-	}
-	snap := f.Snapshot(40, 8)
-	for i := 0; i < 8; i++ {
-		f.Write(40+i, 0)
-	}
-	f.Restore(40, snap)
-	for i := 0; i < 8; i++ {
-		if f.Read(40+i) != uint32(100+i) {
-			t.Fatalf("register %d = %d", 40+i, f.Read(40+i))
-		}
 	}
 }
 

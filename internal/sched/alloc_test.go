@@ -79,7 +79,7 @@ func TestFIFOAllocFree(t *testing.T) {
 		q.Push(th)
 	}
 	for q.Len() > 0 {
-		q.Pop()
+		popHead(&q)
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		for _, th := range threads {
@@ -89,7 +89,7 @@ func TestFIFOAllocFree(t *testing.T) {
 			t.Fatal("wrong MinRegs")
 		}
 		for q.Len() > 0 {
-			q.Pop()
+			popHead(&q)
 		}
 	})
 	if allocs != 0 {

@@ -37,6 +37,6 @@ func BenchmarkFIFO(b *testing.B) {
 	th := mkThreads(1)[0]
 	for i := 0; i < b.N; i++ {
 		q.Push(th)
-		q.Pop()
+		popHead(&q)
 	}
 }

@@ -99,16 +99,6 @@ func (r *Ring) Current() *thread.Thread {
 	return r.nodes[r.cur].t
 }
 
-// Advance moves the round-robin pointer to the next context and
-// returns its thread, or nil when empty.
-func (r *Ring) Advance() *thread.Thread {
-	if r.size == 0 {
-		return nil
-	}
-	r.cur = r.nodes[r.cur].next
-	return r.nodes[r.cur].t
-}
-
 // NextRunnable advances at most Len() positions looking for a runnable
 // (ready-resident) thread, starting with the next context. It returns
 // the thread and the number of positions advanced, or (nil, Len()) if
@@ -141,18 +131,6 @@ func (r *Ring) Each(fn func(*thread.Thread) bool) {
 	}
 }
 
-// Threads returns the resident threads in ring order starting at the
-// current position. It allocates a fresh slice per call: use it for
-// inspection and tests, and Each on hot paths.
-func (r *Ring) Threads() []*thread.Thread {
-	out := make([]*thread.Thread, 0, r.size)
-	r.Each(func(t *thread.Thread) bool {
-		out = append(out, t)
-		return true
-	})
-	return out
-}
-
 // Contains reports whether t is in the ring.
 func (r *Ring) Contains(t *thread.Thread) bool {
 	return t.ID >= 0 && t.ID < len(r.nodes) && r.nodes[t.ID].t == t
@@ -180,27 +158,6 @@ func (q *FIFO) Push(t *thread.Thread) {
 		q.minRegs = t.Regs
 	}
 	q.items = append(q.items, t)
-}
-
-// Pop removes and returns the head, or nil when empty.
-func (q *FIFO) Pop() *thread.Thread {
-	if q.Len() == 0 {
-		return nil
-	}
-	t := q.items[q.head]
-	q.items[q.head] = nil
-	q.head++
-	q.compact()
-	q.dropMin(t)
-	return t
-}
-
-// Peek returns the head without removing it, or nil when empty.
-func (q *FIFO) Peek() *thread.Thread {
-	if q.Len() == 0 {
-		return nil
-	}
-	return q.items[q.head]
 }
 
 // PopFit removes and returns the oldest queued thread that fit

@@ -16,9 +16,18 @@ func mkThreads(n int) []*thread.Thread {
 	return out
 }
 
+// popHead pops q's head through PopFit, with a fit that takes any
+// thread.
+func popHead(q *FIFO) *thread.Thread {
+	bound := 0
+	return q.PopFit(&bound, func(*thread.Thread) bool { return true })
+}
+
 func TestRingAddAdvance(t *testing.T) {
 	r := NewRing()
-	if r.Current() != nil || r.Advance() != nil || r.Len() != 0 {
+	// Every thread is ready-resident, so NextRunnable moves one step.
+	advance := func() *thread.Thread { th, _ := r.NextRunnable(); return th }
+	if r.Current() != nil || advance() != nil || r.Len() != 0 {
 		t.Fatal("empty ring misbehaves")
 	}
 	ths := mkThreads(3)
@@ -32,13 +41,13 @@ func TestRingAddAdvance(t *testing.T) {
 	// exactly once.
 	seen := map[int]bool{r.Current().ID: true}
 	for i := 0; i < 2; i++ {
-		seen[r.Advance().ID] = true
+		seen[advance().ID] = true
 	}
 	if len(seen) != 3 {
 		t.Errorf("rotation visited %d distinct threads", len(seen))
 	}
 	// Fourth advance wraps to the starting thread.
-	start := r.Advance()
+	start := advance()
 	if !seen[start.ID] {
 		t.Error("wrap-around broken")
 	}
@@ -165,32 +174,30 @@ func TestThreadsSnapshot(t *testing.T) {
 	for _, th := range ths {
 		r.Add(th)
 	}
-	snap := r.Threads()
+	var snap []*thread.Thread
+	r.Each(func(th *thread.Thread) bool {
+		snap = append(snap, th)
+		return true
+	})
 	if len(snap) != 3 {
 		t.Fatalf("snapshot length %d", len(snap))
 	}
 	if snap[0] != r.Current() {
 		t.Error("snapshot does not start at current")
 	}
-	if NewRing().Threads() == nil {
-		t.Error("empty snapshot should be non-nil empty slice")
-	}
 }
 
 func TestFIFO(t *testing.T) {
 	var q FIFO
-	if q.Pop() != nil || q.Peek() != nil || q.Len() != 0 {
+	if popHead(&q) != nil || q.Len() != 0 {
 		t.Fatal("empty FIFO misbehaves")
 	}
 	ths := mkThreads(3)
 	for _, th := range ths {
 		q.Push(th)
 	}
-	if q.Peek() != ths[0] {
-		t.Error("peek")
-	}
 	for i := 0; i < 3; i++ {
-		if got := q.Pop(); got != ths[i] {
+		if got := popHead(&q); got != ths[i] {
 			t.Fatalf("pop %d = thread %v", i, got.ID)
 		}
 	}

@@ -63,26 +63,9 @@ func (q *Queue[T]) Reset() {
 	q.now = 0
 }
 
-// Advance moves the clock forward by d cycles. It panics on negative d
-// and on advancing past a pending event (events must be drained first
-// with PopDue; advancing exactly onto an event's due time is allowed).
-// Callers that intentionally let the clock overrun pending events —
-// e.g. a processor that only notices fault completions at its next
-// context switch — must use AdvanceTo, which documents that intent.
-func (q *Queue[T]) Advance(d Cycles) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative advance %d", d))
-	}
-	if at, ok := q.PeekTime(); ok && q.now+d > at {
-		panic(fmt.Sprintf("sim: Advance(%d) from %d past pending event at %d; drain due events first or use AdvanceTo",
-			d, q.now, at))
-	}
-	q.now += d
-}
-
-// AdvanceTo moves the clock to t (>= Now). Unlike Advance, it may move
-// the clock past pending events: they simply become due and are
-// delivered by the next PopDue.
+// AdvanceTo moves the clock to t (>= Now). It may move the clock past
+// pending events: they simply become due and are delivered by the next
+// PopDue.
 func (q *Queue[T]) AdvanceTo(t Cycles) {
 	if t < q.now {
 		panic(fmt.Sprintf("sim: AdvanceTo(%d) before now (%d)", t, q.now))

@@ -14,7 +14,7 @@ func TestClockAdvance(t *testing.T) {
 	if q.Now() != 0 {
 		t.Fatal("clock not at 0")
 	}
-	q.Advance(10)
+	q.AdvanceTo(10)
 	q.AdvanceTo(25)
 	if q.Now() != 25 {
 		t.Errorf("now = %d", q.Now())
@@ -28,23 +28,7 @@ func TestAdvanceNegativePanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	q.Advance(-1)
-}
-
-func TestAdvancePastPendingEventPanics(t *testing.T) {
-	var q Queue[string]
-	q.Schedule(10, "x")
-	q.Advance(10) // exactly onto the due time is allowed...
-	if p, ok := q.PopDue(); !ok || p != "x" {
-		t.Fatal("event not due after advancing onto its time")
-	}
-	q.Schedule(15, "y")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic advancing past a pending event")
-		}
-	}()
-	q.Advance(6) // ...but overrunning the pending event is not
+	q.AdvanceTo(-1) // the clock never runs backwards
 }
 
 func TestAdvanceToMayPassPendingEvents(t *testing.T) {
@@ -60,7 +44,7 @@ func TestAdvanceToMayPassPendingEvents(t *testing.T) {
 
 func TestAdvanceToPastPanics(t *testing.T) {
 	var q Queue[string]
-	q.Advance(10)
+	q.AdvanceTo(10)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic")
@@ -71,7 +55,7 @@ func TestAdvanceToPastPanics(t *testing.T) {
 
 func TestSchedulePastPanics(t *testing.T) {
 	var q Queue[int]
-	q.Advance(10)
+	q.AdvanceTo(10)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic")
@@ -116,7 +100,7 @@ func TestPopDueRespectsClock(t *testing.T) {
 	if _, ok := q.PopDue(); ok {
 		t.Fatal("event popped before due")
 	}
-	q.Advance(10)
+	q.AdvanceTo(10)
 	p, ok := q.PopDue()
 	if !ok || p != "x" {
 		t.Fatal("due event not popped")
@@ -128,7 +112,7 @@ func TestPopDueRespectsClock(t *testing.T) {
 
 func TestAfter(t *testing.T) {
 	var q Queue[int]
-	q.Advance(100)
+	q.AdvanceTo(100)
 	q.After(50, 7)
 	if at, ok := q.PeekTime(); !ok || at != 150 {
 		t.Errorf("After scheduled at %d (ok=%v)", at, ok)

@@ -19,21 +19,13 @@ type Streaming struct {
 	mean float64
 	m2   float64
 	min  float64
-	max  float64
 }
 
 // Add incorporates one observation.
 func (s *Streaming) Add(x float64) {
 	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
+	if s.n == 1 || x < s.min {
+		s.min = x
 	}
 	delta := x - s.mean
 	s.mean += delta / float64(s.n)
@@ -59,9 +51,6 @@ func (s *Streaming) StdDev() float64 { return math.Sqrt(s.Variance()) }
 
 // Min returns the smallest observation, or 0 with no observations.
 func (s *Streaming) Min() float64 { return s.min }
-
-// Max returns the largest observation, or 0 with no observations.
-func (s *Streaming) Max() float64 { return s.max }
 
 // CI95 returns the half-width of a ~95% confidence interval for the
 // mean, using the normal approximation (the experiments draw tens of
@@ -245,22 +234,6 @@ func (c *CycleAccount) Efficiency() float64 {
 		return 0
 	}
 	return float64(c.cycles[Useful]) / float64(t)
-}
-
-// Overhead returns the fraction of cycles that are neither useful nor
-// idle — pure multithreading overhead.
-func (c *CycleAccount) Overhead() float64 {
-	t := c.Total()
-	if t == 0 {
-		return 0
-	}
-	var oh int64
-	for a, v := range c.cycles {
-		if Activity(a) != Useful && Activity(a) != Idle {
-			oh += v
-		}
-	}
-	return float64(oh) / float64(t)
 }
 
 // Sub returns the account c minus other, activity by activity. It is

@@ -6,13 +6,12 @@
 // partition works); the price is code expansion linear in the number
 // of contexts.
 //
-// The package provides the partition planner, the code-expansion
-// accounting, the compile-time relocation transform (rewriting an
-// assembled program's register operands for a given partition), and
-// the MIPS R3000 feasibility profile behind the paper's finding that
-// "because of the limited number of general registers on the MIPS
-// architecture, the technique was not practical for more than two
-// contexts".
+// The package provides the partition planner, the compile-time
+// relocation transform (rewriting an assembled program's register
+// operands for a given partition), and the MIPS R3000 feasibility
+// profile behind the paper's finding that "because of the limited
+// number of general registers on the MIPS architecture, the technique
+// was not practical for more than two contexts".
 package swonly
 
 import (
@@ -87,16 +86,6 @@ func Plan(p Profile, sizes []int) (Partition, error) {
 		next += s
 	}
 	return out, nil
-}
-
-// CodeExpansion returns the total code size factor for n compile-time
-// contexts: every thread's code is duplicated per context, the
-// scheme's "obvious disadvantage".
-func CodeExpansion(n int) float64 {
-	if n < 1 {
-		panic("swonly: invalid context count")
-	}
-	return float64(n)
 }
 
 // Relocate rewrites an assembled program so that every live register

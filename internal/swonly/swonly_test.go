@@ -51,18 +51,6 @@ func TestPlanArbitrarySizes(t *testing.T) {
 	}
 }
 
-func TestCodeExpansion(t *testing.T) {
-	if CodeExpansion(3) != 3 {
-		t.Error("expansion factor wrong")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("invalid count accepted")
-		}
-	}()
-	CodeExpansion(0)
-}
-
 func TestRelocateRewritesOperands(t *testing.T) {
 	p := asm.MustAssemble(`
 		movi r1, 5

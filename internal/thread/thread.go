@@ -108,10 +108,5 @@ func (t *Thread) UnloadCost() int64 { return int64(t.Regs) + LoadOverhead }
 // every context load and unload (blocking/unblocking bookkeeping).
 const LoadOverhead = 10
 
-// Resident reports whether the thread currently holds a context.
-func (t *Thread) Resident() bool {
-	return t.State == ReadyResident || t.State == BlockedResident
-}
-
 // Runnable reports whether the thread can execute right now.
 func (t *Thread) Runnable() bool { return t.State == ReadyResident }

@@ -42,21 +42,17 @@ func TestStateHelpers(t *testing.T) {
 	th := New(0, 8, 100)
 	cases := []struct {
 		s        State
-		resident bool
 		runnable bool
 	}{
-		{Unstarted, false, false},
-		{ReadyUnloaded, false, false},
-		{ReadyResident, true, true},
-		{BlockedResident, true, false},
-		{BlockedUnloaded, false, false},
-		{Done, false, false},
+		{Unstarted, false},
+		{ReadyUnloaded, false},
+		{ReadyResident, true},
+		{BlockedResident, false},
+		{BlockedUnloaded, false},
+		{Done, false},
 	}
 	for _, c := range cases {
 		th.State = c.s
-		if th.Resident() != c.resident {
-			t.Errorf("%v: Resident() = %v", c.s, th.Resident())
-		}
 		if th.Runnable() != c.runnable {
 			t.Errorf("%v: Runnable() = %v", c.s, th.Runnable())
 		}

@@ -38,7 +38,7 @@ func New(limit int) *Recorder { return &Recorder{limit: limit} }
 
 // Record appends an event. On a nil recorder it is a no-op; on a full
 // recorder the event is counted as dropped so capped traces are
-// visibly incomplete (see Dropped and the Timeline truncation marker).
+// visibly incomplete (see the Timeline truncation marker).
 func (r *Recorder) Record(at, dur int64, thread int, a stats.Activity) {
 	if r == nil || dur <= 0 {
 		return
@@ -48,24 +48,6 @@ func (r *Recorder) Record(at, dur int64, thread int, a stats.Activity) {
 		return
 	}
 	r.events = append(r.events, Event{At: at, Dur: dur, Thread: thread, Activity: a})
-}
-
-// Dropped returns the number of events discarded because the recorder
-// was at its limit. A non-zero count means Events, Timeline, and
-// Summary describe a truncated prefix of the run.
-func (r *Recorder) Dropped() int {
-	if r == nil {
-		return 0
-	}
-	return r.dropped
-}
-
-// Events returns the recorded events in record order.
-func (r *Recorder) Events() []Event {
-	if r == nil {
-		return nil
-	}
-	return r.events
 }
 
 // Len returns the number of recorded events.

@@ -48,17 +48,12 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// Generate materializes the thread population using src. The same seed
-// reproduces the same population.
-func (s Spec) Generate(src *rng.Source) []*thread.Thread {
-	return s.GenerateInto(src, nil)
-}
-
-// GenerateInto is Generate recycling buf's slice capacity and Thread
-// structs, so a sweep harness running many simulations back to back
-// stops allocating a fresh population per grid point. Recycled threads
-// are fully reinitialized; the produced population is identical to
-// Generate's for the same src state.
+// GenerateInto materializes the thread population using src; the same
+// seed reproduces the same population. It recycles buf's slice
+// capacity and Thread structs (buf may be nil), so a sweep harness
+// running many simulations back to back stops allocating a fresh
+// population per grid point. Recycled threads are fully reinitialized;
+// the population does not depend on buf.
 func (s Spec) GenerateInto(src *rng.Source, buf []*thread.Thread) []*thread.Thread {
 	if err := s.Validate(); err != nil {
 		panic(err)

@@ -9,8 +9,8 @@ import (
 
 func TestGenerateReproducible(t *testing.T) {
 	spec := CacheFaults(32, 128, PaperCtxSize(), 50, 10000)
-	a := spec.Generate(rng.New(7))
-	b := spec.Generate(rng.New(7))
+	a := spec.GenerateInto(rng.New(7), nil)
+	b := spec.GenerateInto(rng.New(7), nil)
 	for i := range a {
 		if a[i].Regs != b[i].Regs || a[i].WorkLeft != b[i].WorkLeft {
 			t.Fatalf("thread %d differs between identical seeds", i)
@@ -20,7 +20,7 @@ func TestGenerateReproducible(t *testing.T) {
 
 func TestGenerateDistribution(t *testing.T) {
 	spec := CacheFaults(32, 128, PaperCtxSize(), 2000, 10000)
-	ths := spec.Generate(rng.New(3))
+	ths := spec.GenerateInto(rng.New(3), nil)
 	if len(ths) != 2000 {
 		t.Fatalf("population = %d", len(ths))
 	}
@@ -64,7 +64,7 @@ func TestGeneratePanicsOnInvalid(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	Spec{}.Generate(rng.New(1))
+	Spec{}.GenerateInto(rng.New(1), nil)
 }
 
 func TestCacheFaultsDistributions(t *testing.T) {

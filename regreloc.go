@@ -8,7 +8,6 @@ import (
 	"regreloc/internal/cache"
 	"regreloc/internal/compiler"
 	"regreloc/internal/experiment"
-	"regreloc/internal/isa"
 	"regreloc/internal/kernel"
 	"regreloc/internal/machine"
 	"regreloc/internal/network"
@@ -57,9 +56,6 @@ func NewMachine(cfg MachineConfig) *Machine { return machine.New(cfg) }
 // Assemble assembles source text for the machine's ISA.
 func Assemble(src string) (*Program, error) { return asm.Assemble(src) }
 
-// Disassemble renders one instruction word.
-func Disassemble(word uint32) string { return isa.Disassemble(isa.Decode(isa.Word(word))) }
-
 // NewKernel installs the software runtime on a machine.
 func NewKernel(m *Machine, a Allocator) *Kernel { return kernel.New(m, a) }
 
@@ -84,22 +80,6 @@ var (
 // dynamic allocator for a register file of fileSize registers.
 func NewBitmapAllocator(fileSize, maxCtx int, costs AllocCosts) Allocator {
 	return alloc.NewBitmap(fileSize, maxCtx, costs)
-}
-
-// NewFixedAllocator returns the conventional hardware-context baseline.
-func NewFixedAllocator(fileSize, slotSize int) Allocator {
-	return alloc.NewFixed(fileSize, slotSize)
-}
-
-// NewLookupAllocator returns the Section 3.3 specialized two-size
-// allocator.
-func NewLookupAllocator(fileSize int, costs AllocCosts) Allocator {
-	return alloc.NewLookup(fileSize, costs)
-}
-
-// NewBuddyAllocator returns the buddy-system generalization.
-func NewBuddyAllocator(fileSize, minSize, maxCtx int, costs AllocCosts) Allocator {
-	return alloc.NewBuddy(fileSize, minSize, maxCtx, costs)
 }
 
 // Node-level simulation: the paper's evaluation engine.
@@ -166,12 +146,6 @@ func SyncFaultWorkload(r, l int, ctx Dist, threads int, workPer int64) Workload 
 // size distribution.
 func PaperContextSizes() Dist { return workload.PaperCtxSize() }
 
-// UniformContexts returns C ~ uniform[lo, hi].
-func UniformContexts(lo, hi int) Dist { return rng.UniformInt{Lo: lo, Hi: hi} }
-
-// ConstantContexts returns the homogeneous C = n distribution.
-func ConstantContexts(n int) Dist { return rng.Constant{Value: n} }
-
 // NewAnalyticParams returns the Section 3.4 model for run length r,
 // latency l, and switch cost s.
 func NewAnalyticParams(r, l, s float64) AnalyticParams { return analytic.NewParams(r, l, s) }
@@ -190,9 +164,6 @@ var (
 	FullScale  = experiment.Full
 )
 
-// ExperimentIDs lists the reproducible tables and figures.
-func ExperimentIDs() []string { return experiment.IDs() }
-
 // RunExperiment regenerates one table or figure by ID ("figure5",
 // "figure6", "figure6a-cheap", "homogeneous-c8", ...).
 func RunExperiment(id string, seed uint64, scale ExperimentScale) (*ExperimentReport, bool) {
@@ -210,20 +181,8 @@ func RenderTable(r *ExperimentReport) string { return experiment.Table(r) }
 // RenderPlot renders one panel as an ASCII efficiency-vs-latency chart.
 func RenderPlot(r *ExperimentReport, panel string) string { return experiment.Plot(r, panel) }
 
-// RenderCSV renders a report's measurements as CSV.
-func RenderCSV(r *ExperimentReport) string { return experiment.CSV(r) }
-
 // RenderSummary renders per-panel fixed-vs-flexible speedup summaries.
 func RenderSummary(r *ExperimentReport) string { return experiment.Summary(r) }
-
-// Compiler support.
-type (
-	// CallGraph carries per-function register usage for requirement
-	// analysis.
-	CallGraph = compiler.CallGraph
-	// SizeAdvice is the compiler's context-size recommendation.
-	SizeAdvice = compiler.Advice
-)
 
 // Static context-boundary checking (Section 2.4's "separate tool",
 // grown into a real analyzer: CFG, liveness, hazards, derived
@@ -247,15 +206,8 @@ func AnalyzeProgram(p *Program, opts AnalysisOptions) *AnalysisResult {
 	return analysis.Analyze(p, opts)
 }
 
-// AnalyzeSource assembles src and analyzes it, honoring lint:ignore
-// suppression comments.
-func AnalyzeSource(src string, opts AnalysisOptions) (*AnalysisResult, error) {
-	return analysis.AnalyzeSource(src, opts)
-}
-
-// NewCallGraph returns an empty call graph for register-requirement
-// analysis.
-func NewCallGraph() *CallGraph { return compiler.NewCallGraph() }
+// SizeAdvice is the compiler's context-size recommendation.
+type SizeAdvice = compiler.Advice
 
 // AdviseContextSize evaluates the Section 2.4 register/context-size
 // tradeoff.

@@ -34,15 +34,12 @@ func TestPublicAPIMachineFlow(t *testing.T) {
 	if m.RF.Read(34) != 6 {
 		t.Errorf("relocated r2 = %d", m.RF.Read(34))
 	}
-	if s := regreloc.Disassemble(uint32(prog.Words[0])); s != "movi r1, 5" {
-		t.Errorf("Disassemble = %q", s)
-	}
 }
 
 func TestPublicAPIKernelFlow(t *testing.T) {
 	m := regreloc.NewMachine(regreloc.MachineConfig{Registers: 128})
 	k := regreloc.NewKernel(m, regreloc.NewBitmapAllocator(128, 64, regreloc.FlexibleCosts))
-	if _, err := k.LoadUser("t0:\n addi r4, r4, 1\n jal r0, yield\n beq r0, r0, t0"); err != nil {
+	if _, err := k.LoadUserChecked("t0:\n addi r4, r4, 1\n jal r0, yield\n beq r0, r0, t0", 8); err != nil {
 		t.Fatal(err)
 	}
 	th, err := k.Spawn("t0", k.Runtime.Symbols["t0"], 8)
@@ -60,25 +57,18 @@ func TestPublicAPIKernelFlow(t *testing.T) {
 }
 
 func TestPublicAPIAllocators(t *testing.T) {
-	for _, a := range []regreloc.Allocator{
-		regreloc.NewBitmapAllocator(128, 64, regreloc.FlexibleCosts),
-		regreloc.NewFixedAllocator(128, 32),
-		regreloc.NewLookupAllocator(128, regreloc.LookupCosts),
-		regreloc.NewBuddyAllocator(128, 4, 64, regreloc.FlexibleCosts),
-	} {
-		ctx, ok := a.Alloc(10)
-		if !ok || ctx.Size < 10 || ctx.Base%ctx.Size != 0 {
-			t.Errorf("%T: ctx = %+v ok = %v", a, ctx, ok)
-		}
-		a.Free(ctx)
+	a := regreloc.NewBitmapAllocator(128, 64, regreloc.FlexibleCosts)
+	ctx, ok := a.Alloc(10)
+	if !ok || ctx.Size < 10 || ctx.Base%ctx.Size != 0 {
+		t.Errorf("ctx = %+v ok = %v", ctx, ok)
+	}
+	a.Free(ctx)
+	if a.FreeRegisters() != 128 {
+		t.Errorf("free registers after Free = %d, want 128", a.FreeRegisters())
 	}
 }
 
 func TestPublicAPIExperiments(t *testing.T) {
-	ids := regreloc.ExperimentIDs()
-	if len(ids) < 10 {
-		t.Fatalf("only %d experiments registered", len(ids))
-	}
 	tiny := regreloc.ExperimentScale{Threads: 12, WorkRuns: 40, MinWork: 800}
 	rep, ok := regreloc.RunExperiment("figure5", 1, tiny)
 	if !ok {
@@ -90,9 +80,6 @@ func TestPublicAPIExperiments(t *testing.T) {
 	if !strings.Contains(regreloc.RenderPlot(rep, "F=128"), "legend") {
 		t.Error("plot broken")
 	}
-	if !strings.Contains(regreloc.RenderCSV(rep), "figure5,") {
-		t.Error("csv broken")
-	}
 	if !strings.Contains(regreloc.RenderSummary(rep), "geomean") {
 		t.Error("summary broken")
 	}
@@ -102,12 +89,10 @@ func TestPublicAPIExperiments(t *testing.T) {
 }
 
 func TestPublicAPICompilerAndChecker(t *testing.T) {
-	g := regreloc.NewCallGraph()
 	adv := regreloc.AdviseContextSize(17, 128, regreloc.NewAnalyticParams(16, 1024, 6))
 	if adv.Registers != 16 {
 		t.Errorf("advice = %+v", adv)
 	}
-	_ = g
 	prog, err := regreloc.Assemble("add r9, r1, r1\nhalt")
 	if err != nil {
 		t.Fatal(err)
